@@ -19,7 +19,15 @@ Each iteration sweeps four blocks:
 with the penalty ``mu`` growing geometrically up to a cap. Iteration stops
 when the relative change ``||X_new - X_old||_F / ||X_0||_F`` drops to the
 configured tolerance.
-"""
+
+The loop never unfolds X. The matricized-tensor-times-Khatri-Rao products
+(MTTKRP) of the factor sweep read X through its free ``(I1*I2, I3)``
+reshape: the mode-3 contraction ``Z = X x_3 U3`` is formed once per sweep
+and shared by modes 1 and 2 (both see the pre-sweep U3 under Gauss-Seidel),
+mode 3 is one matrix product with ``khatri_rao(U1, U2)``, and each ridge
+Gram matrix is the Hadamard product of two ``R x R`` factor Grams. The
+observed positions are found once per solve and written into each fresh
+reconstruction, so an iteration allocates only the new completion."""
 
 from __future__ import annotations
 
@@ -29,7 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .tensor_ops import as_mask, as_tensor, cp_reconstruct, fro_norm, khatri_rao, project, unfold
+from .tensor_ops import as_mask, as_tensor, cp_reconstruct, fro_norm, khatri_rao, project
+
+# Not called here; kept reachable as ``cpd_lrtc.unfold`` for code that looks it up on this module.
+from .tensor_ops import unfold  # noqa: F401
 
 
 class NumericalError(RuntimeError):
@@ -153,12 +164,6 @@ def svt(m: np.ndarray, tau: float) -> np.ndarray:
     return (u * np.maximum(s - tau, 0.0)) @ vt
 
 
-def _kr_others(factors, n: int) -> np.ndarray:
-    """Khatri-Rao product of the factors other than mode n (0-based), higher mode first."""
-    a, b = (factors[k] for k in (2, 1, 0) if k != n)
-    return khatri_rao(a, b)
-
-
 def init_factors(dims, rank: int, rng: np.random.Generator) -> FactorSet:
     """Seeded i.i.d. normal factors scaled by 1/sqrt(R); M copies U, Y is zero."""
     u = tuple(rng.standard_normal((int(d), rank)) / np.sqrt(rank) for d in dims)
@@ -169,6 +174,15 @@ def init_factors(dims, rank: int, rng: np.random.Generator) -> FactorSet:
     )
 
 
+def _ridge_update(state: FactorSet, n: int, mttkrp, gram_a, gram_b, lam: float, mu: float):
+    """Minimizer U_n of the mode-n subproblem, whose Khatri-Rao Gram is ``gram_a * gram_b``."""
+    rhs = lam * mttkrp + mu * state.M[n] + state.Y[n]
+    gram = lam * (gram_a * gram_b) + mu * np.eye(len(gram_a))
+    if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))):
+        raise NumericalError(f"mode-{n + 1} factor update produced non-finite values")
+    return scipy.linalg.solve(gram, rhs.T, assume_a="pos").T
+
+
 def update_factors(state: FactorSet, x: np.ndarray, lam: float, mu: float) -> FactorSet:
     """One Gauss-Seidel sweep of the factor subproblems.
 
@@ -176,15 +190,19 @@ def update_factors(state: FactorSet, x: np.ndarray, lam: float, mu: float) -> Fa
     subproblem given the other factors; modes 1, 2, 3 are updated in order,
     later modes seeing the already-updated earlier ones.
     """
-    u = list(state.U)
-    for n in range(3):
-        kr = _kr_others(u, n)
-        rhs = lam * (unfold(x, n + 1) @ kr) + mu * state.M[n] + state.Y[n]
-        gram = lam * (kr.T @ kr) + mu * np.eye(kr.shape[1])
-        if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))):
-            raise NumericalError(f"mode-{n + 1} factor update produced non-finite values")
-        u[n] = scipy.linalg.solve(gram, rhs.T, assume_a="pos").T
-    return FactorSet(U=tuple(u), M=state.M, Y=state.Y)
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != state.dims:
+        raise ValueError(f"tensor shape {x.shape} does not match factor dims {state.dims}")
+    i1, i2, i3 = state.dims
+    u1, u2, u3 = state.U
+    x3 = x.reshape(i1 * i2, i3)
+    z = (x3 @ u3).reshape(i1, i2, -1)
+    g3 = u3.T @ u3
+    u1 = _ridge_update(state, 0, np.einsum("ijr,jr->ir", z, u2), g3, u2.T @ u2, lam, mu)
+    g1 = u1.T @ u1
+    u2 = _ridge_update(state, 1, np.einsum("ijr,ir->jr", z, u1), g3, g1, lam, mu)
+    u3 = _ridge_update(state, 2, x3.T @ khatri_rao(u1, u2), g1, u2.T @ u2, lam, mu)
+    return FactorSet(U=(u1, u2, u3), M=state.M, Y=state.Y)
 
 
 def update_auxiliary(state: FactorSet, alpha, mu: float, dual_sign: float = -1.0) -> FactorSet:
@@ -195,13 +213,20 @@ def update_auxiliary(state: FactorSet, alpha, mu: float, dual_sign: float = -1.0
     return FactorSet(U=state.U, M=m, Y=state.Y)
 
 
-def update_completion(state: FactorSet, truth: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Observed entries copied from the data, the rest from the CP reconstruction."""
-    truth = np.asarray(truth, dtype=np.float64)
-    mask = as_mask(mask, truth.shape)
-    if state.dims != truth.shape:
-        raise ValueError(f"factor dims {state.dims} do not match tensor {truth.shape}")
-    return np.where(mask, truth, cp_reconstruct(state.U))
+def update_completion(state: FactorSet, observed_idx: np.ndarray, observed: np.ndarray) -> np.ndarray:
+    """The CP reconstruction with the observed entries written back in.
+
+    ``observed_idx`` holds flat C-order positions in a tensor of the factor
+    dims, as ``np.flatnonzero(mask)`` gives them, and ``observed`` the data
+    values at those positions.
+    """
+    x = cp_reconstruct(state.U)
+    if observed_idx.shape != observed.shape:
+        raise ValueError("observed positions and values differ in length")
+    if observed_idx.size and not (0 <= observed_idx.min() and observed_idx.max() < x.size):
+        raise ValueError(f"observed positions fall outside factor dims {state.dims}")
+    x.reshape(-1)[observed_idx] = observed
+    return x
 
 
 def update_multipliers(state: FactorSet, mu: float) -> FactorSet:
@@ -225,6 +250,8 @@ def complete(truth, mask, cfg: SolverConfig | None = None) -> CompletionReport:
 
     rng = np.random.default_rng(cfg.seed)
     state = init_factors(t.shape, rank, rng)
+    observed_idx = np.flatnonzero(m)
+    observed = t[m]
     x = project(t, m)
     denom = fro_norm(x) or 1.0
     mu = cfg.mu0
@@ -236,13 +263,15 @@ def complete(truth, mask, cfg: SolverConfig | None = None) -> CompletionReport:
         try:
             state = update_factors(state, x, cfg.lam, mu)
             state = update_auxiliary(state, cfg.alpha, mu, cfg.dual_sign)
-            x_new = update_completion(state, t, m)
+            x_new = update_completion(state, observed_idx, observed)
             state = update_multipliers(state, mu)
         except NumericalError as err:
             raise NumericalError(f"iteration {k + 1}: {err}") from err
-        if not np.all(np.isfinite(x_new)):
+        # x is finite, so a non-finite x_new (or a difference too large to
+        # square) shows up as a non-finite residual; x's buffer is not needed again.
+        resid = fro_norm(np.subtract(x, x_new, out=x)) / denom
+        if not np.isfinite(resid):
             raise NumericalError(f"iteration {k + 1}: completion diverged to non-finite values")
-        resid = fro_norm(x_new - x) / denom
         history.append(resid)
         x = x_new
         mu = min(cfg.rho * mu, cfg.mu_max)

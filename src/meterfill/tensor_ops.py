@@ -89,7 +89,9 @@ def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def cp_reconstruct(factors) -> np.ndarray:
     """Tensor from three CP factor matrices: sum of rank-one outer products.
 
-    Entry ``(i, j, k)`` is ``sum_r U1[i, r] * U2[j, r] * U3[k, r]``.
+    Entry ``(i, j, k)`` is ``sum_r U1[i, r] * U2[j, r] * U3[k, r]``. One
+    matrix product ``U1 @ khatri_rao(U2, U3).T`` writes the result straight
+    into its C-ordered buffer, with no temporary of tensor size.
     """
     if len(factors) != 3:
         raise ValueError(f"expected 3 factor matrices, got {len(factors)}")
@@ -99,7 +101,7 @@ def cp_reconstruct(factors) -> np.ndarray:
             raise ValueError("factor matrices must be 2-D")
     if not (u1.shape[1] == u2.shape[1] == u3.shape[1]):
         raise ValueError("factor matrices must share one column count")
-    return np.einsum("ir,jr,kr->ijk", u1, u2, u3, optimize=True)
+    return (u1 @ khatri_rao(u2, u3).T).reshape(u1.shape[0], u2.shape[0], u3.shape[0])
 
 
 def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
