@@ -44,7 +44,6 @@ from .tensor_ops import (
     cp_reconstruct,
     fold,
     fro_norm,
-    hadamard,
     khatri_rao,
     project,
     unfold,

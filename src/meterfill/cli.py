@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -53,7 +55,7 @@ def _parse_rates(text: str) -> list[float]:
                 raise argparse.ArgumentTypeError(f"bad rate range {chunk!r}") from None
             if step <= 0 or hi < lo:
                 raise argparse.ArgumentTypeError(f"bad rate range {chunk!r}")
-            count = int(round((hi - lo) / step))
+            count = math.floor((hi - lo) / step + 1e-9)
             rates += [round(lo + k * step, 10) for k in range(count + 1)]
         else:
             try:
@@ -85,25 +87,13 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _solver_configs(args) -> tuple[SolverConfig, HalrtcConfig]:
-    cpd_kwargs = {}
-    hal_kwargs = {}
-    for name in ("alpha", "rho", "epsilon"):
-        val = getattr(args, name)
-        if val is not None:
-            cpd_kwargs[name] = val
-            hal_kwargs[name] = val
-    if args.max_iters is not None:
-        cpd_kwargs["max_iters"] = hal_kwargs["max_iters"] = args.max_iters
-    if args.mu_max is not None:
-        cpd_kwargs["mu_max"] = hal_kwargs["mu_max"] = args.mu_max
-    if args.mu0 is not None:
-        cpd_kwargs["mu0"] = hal_kwargs["mu0"] = args.mu0
-    if args.rank is not None:
-        cpd_kwargs["rank"] = args.rank
-    if args.lam is not None:
-        cpd_kwargs["lam"] = args.lam
-    cpd_kwargs["seed"] = args.seed
-    return SolverConfig(**cpd_kwargs), HalrtcConfig(**hal_kwargs)
+    """Each config from the flags named like its fields; flags not given keep its defaults."""
+
+    def build(cls):
+        given = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(cls)}
+        return cls(**{name: val for name, val in given.items() if val is not None})
+
+    return build(SolverConfig), build(HalrtcConfig)
 
 
 def _load_input(args) -> data.TensorDataset:

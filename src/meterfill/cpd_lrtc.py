@@ -20,7 +20,11 @@ with the penalty ``mu`` growing geometrically up to a cap. Iteration stops
 when the relative change ``||X_new - X_old||_F / ||X_0||_F`` drops to the
 configured tolerance.
 
-The loop never unfolds X. The matricized-tensor-times-Khatri-Rao products
+This outer loop (penalty schedule, stopping rule, non-finite check, timing,
+report) is shared with the comparator in :mod:`meterfill.halrtc`; each solver
+supplies only a step from the current completion to the next.
+
+The CPD step never unfolds X. The matricized-tensor-times-Khatri-Rao products
 (MTTKRP) of the factor sweep read X through its free ``(I1*I2, I3)``
 reshape: the mode-3 contraction ``Z = X x_3 U3`` is formed once per sweep
 and shared by modes 1 and 2 (both see the pre-sweep U3 under Gauss-Seidel),
@@ -47,6 +51,28 @@ class NumericalError(RuntimeError):
     """Raised when a solve produces non-finite values or an SVD fails."""
 
 
+def _check_admm_fields(cfg) -> None:
+    """Validate the fields both solver configs share; normalizes ``alpha`` to floats.
+
+    ``mu0=None`` passes here; a config that cannot adapt mu0 rejects it itself.
+    """
+    object.__setattr__(cfg, "alpha", tuple(float(a) for a in cfg.alpha))
+    if len(cfg.alpha) != 3 or any(a < 0 for a in cfg.alpha):
+        raise ValueError("alpha must be three nonnegative weights")
+    if abs(sum(cfg.alpha) - 1.0) > 1e-12:
+        raise ValueError("alpha weights must sum to 1")
+    if cfg.mu0 is not None and cfg.mu0 <= 0:
+        raise ValueError("mu0 must be positive")
+    if cfg.mu_max <= 0:
+        raise ValueError("mu_max must be positive")
+    if cfg.rho < 1:
+        raise ValueError("rho must be >= 1")
+    if not 0 < cfg.epsilon < 1:
+        raise ValueError("epsilon must lie in (0, 1)")
+    if cfg.max_iters < 1:
+        raise ValueError("max_iters must be positive")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Hyperparameters for :func:`complete`.
@@ -57,9 +83,6 @@ class SolverConfig:
     lam: weight of the coupling between X and its CP reconstruction.
     mu0, rho, mu_max: penalty schedule ``mu <- min(rho * mu, mu_max)``.
     epsilon: relative-change stopping tolerance, in (0, 1).
-    dual_sign: sign of the multiplier offset inside the thresholding
-        argument ``U_n + dual_sign * Y_n / mu``; -1 is the augmented-
-        Lagrangian form, +1 is provided as a diagnostic switch.
     """
 
     rank: int | None = None
@@ -71,30 +94,17 @@ class SolverConfig:
     epsilon: float = 1e-4
     max_iters: int = 500
     seed: int = 0
-    dual_sign: float = -1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
+        if self.mu0 is None:
+            raise ValueError("mu0 must be a positive number")
+        _check_admm_fields(self)
         if self.rank is not None and self.rank < 1:
             raise ValueError("rank must be a positive integer")
-        if len(self.alpha) != 3 or any(a < 0 for a in self.alpha):
-            raise ValueError("alpha must be three nonnegative weights")
-        if abs(sum(self.alpha) - 1.0) > 1e-12:
-            raise ValueError("alpha weights must sum to 1")
         if self.lam <= 0:
             raise ValueError("lam must be positive")
-        if self.mu0 <= 0 or self.mu_max <= 0:
-            raise ValueError("mu0 and mu_max must be positive")
-        if self.rho < 1:
-            raise ValueError("rho must be >= 1")
-        if not 0 < self.epsilon < 1:
-            raise ValueError("epsilon must lie in (0, 1)")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.dual_sign not in (-1.0, 1.0):
-            raise ValueError("dual_sign must be -1 or +1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,11 +215,9 @@ def update_factors(state: FactorSet, x: np.ndarray, lam: float, mu: float) -> Fa
     return FactorSet(U=(u1, u2, u3), M=state.M, Y=state.Y)
 
 
-def update_auxiliary(state: FactorSet, alpha, mu: float, dual_sign: float = -1.0) -> FactorSet:
-    """Shrink each ``U_n + dual_sign * Y_n / mu`` at threshold ``alpha_n / mu``."""
-    m = tuple(
-        svt(state.U[n] + dual_sign * state.Y[n] / mu, alpha[n] / mu) for n in range(3)
-    )
+def update_auxiliary(state: FactorSet, alpha, mu: float) -> FactorSet:
+    """Shrink each ``U_n - Y_n / mu`` at threshold ``alpha_n / mu``."""
+    m = tuple(svt(state.U[n] - state.Y[n] / mu, alpha[n] / mu) for n in range(3))
     return FactorSet(U=state.U, M=m, Y=state.Y)
 
 
@@ -235,36 +243,30 @@ def update_multipliers(state: FactorSet, mu: float) -> FactorSet:
     return FactorSet(U=state.U, M=state.M, Y=y)
 
 
-def complete(truth, mask, cfg: SolverConfig | None = None) -> CompletionReport:
-    """Complete a partially observed tensor; deterministic for a fixed seed.
-
-    ``truth`` supplies the observed entries (values elsewhere are ignored);
-    ``mask`` marks the observed positions and must select at least one entry.
-    """
-    cfg = cfg if cfg is not None else SolverConfig()
+def _observed_input(truth, mask) -> tuple[np.ndarray, np.ndarray]:
+    """Validated tensor and mask; the mask must select at least one entry."""
     t = as_tensor(truth)
     m = as_mask(mask, t.shape)
     if not m.any():
         raise ValueError("mask selects no observed entries")
-    rank = cfg.rank if cfg.rank is not None else min(20, min(t.shape))
+    return t, m
 
-    rng = np.random.default_rng(cfg.seed)
-    state = init_factors(t.shape, rank, rng)
-    observed_idx = np.flatnonzero(m)
-    observed = t[m]
-    x = project(t, m)
+
+def _run_admm(x: np.ndarray, cfg, mu: float, step, svd_shapes) -> CompletionReport:
+    """The outer ADMM loop of both solvers, from completion ``x`` and penalty ``mu``.
+
+    ``step(x, mu)`` advances the solver's own state by one iteration and
+    returns the next completion as a new array. The step must not keep
+    ``x``: the loop reuses its buffer.
+    """
     denom = fro_norm(x) or 1.0
-    mu = cfg.mu0
     history: list[float] = []
     converged = False
 
     start = time.perf_counter()
     for k in range(cfg.max_iters):
         try:
-            state = update_factors(state, x, cfg.lam, mu)
-            state = update_auxiliary(state, cfg.alpha, mu, cfg.dual_sign)
-            x_new = update_completion(state, observed_idx, observed)
-            state = update_multipliers(state, mu)
+            x_new = step(x, mu)
         except NumericalError as err:
             raise NumericalError(f"iteration {k + 1}: {err}") from err
         # x is finite, so a non-finite x_new (or a difference too large to
@@ -286,5 +288,29 @@ def complete(truth, mask, cfg: SolverConfig | None = None) -> CompletionReport:
         converged=converged,
         residual_history=tuple(history),
         wall_time=wall,
-        svd_shapes=tuple((int(d), rank) for d in t.shape),
+        svd_shapes=svd_shapes,
     )
+
+
+def complete(truth, mask, cfg: SolverConfig | None = None) -> CompletionReport:
+    """Complete a partially observed tensor; deterministic for a fixed seed.
+
+    ``truth`` supplies the observed entries (values elsewhere are ignored);
+    ``mask`` marks the observed positions and must select at least one entry.
+    """
+    cfg = cfg if cfg is not None else SolverConfig()
+    t, m = _observed_input(truth, mask)
+    rank = cfg.rank if cfg.rank is not None else min(20, min(t.shape))
+    state = init_factors(t.shape, rank, np.random.default_rng(cfg.seed))
+    observed_idx = np.flatnonzero(m)
+    observed = t[m]
+
+    def step(x, mu):
+        nonlocal state
+        state = update_factors(state, x, cfg.lam, mu)
+        state = update_auxiliary(state, cfg.alpha, mu)
+        x_new = update_completion(state, observed_idx, observed)
+        state = update_multipliers(state, mu)
+        return x_new
+
+    return _run_admm(project(t, m), cfg, cfg.mu0, step, tuple((int(d), rank) for d in t.shape))

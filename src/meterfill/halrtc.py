@@ -2,20 +2,21 @@
 
 Classic high-accuracy LRTC: ADMM over one auxiliary low-rank matrix per
 mode-n unfolding, with singular value thresholding applied to the full
-``I_n x (prod of other dims)`` matrices. Kept API-compatible with the
-CP-factor solver so benchmarks can swap methods; the structural difference
-is the size of the matrices each method sends to SVD.
+``I_n x (prod of other dims)`` matrices. It runs the same outer ADMM loop
+as the CP-factor solver (penalty schedule, stopping rule, report) and
+differs from it only in its step and its default ``mu0``/``rho``, so
+benchmarks can swap methods; the structural difference is the size of the
+matrices each method sends to SVD.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cpd_lrtc import CompletionReport, NumericalError, svt
-from .tensor_ops import as_mask, as_tensor, fold, fro_norm, project, unfold
+from .cpd_lrtc import CompletionReport, _check_admm_fields, _observed_input, _run_admm, svt
+from .tensor_ops import fold, fro_norm, project, unfold
 
 
 @dataclass(frozen=True)
@@ -35,21 +36,7 @@ class HalrtcConfig:
     max_iters: int = 500
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
-        if len(self.alpha) != 3 or any(a < 0 for a in self.alpha):
-            raise ValueError("alpha must be three nonnegative weights")
-        if abs(sum(self.alpha) - 1.0) > 1e-12:
-            raise ValueError("alpha weights must sum to 1")
-        if self.mu0 is not None and self.mu0 <= 0:
-            raise ValueError("mu0 must be positive")
-        if self.rho < 1:
-            raise ValueError("rho must be >= 1")
-        if self.mu_max <= 0:
-            raise ValueError("mu_max must be positive")
-        if not 0 < self.epsilon < 1:
-            raise ValueError("epsilon must lie in (0, 1)")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
+        _check_admm_fields(self)
 
 
 def complete_halrtc(truth, mask, cfg: HalrtcConfig | None = None) -> CompletionReport:
@@ -60,53 +47,26 @@ def complete_halrtc(truth, mask, cfg: HalrtcConfig | None = None) -> CompletionR
     then step the duals by the remaining mode residuals.
     """
     cfg = cfg if cfg is not None else HalrtcConfig()
-    t = as_tensor(truth)
-    m = as_mask(mask, t.shape)
-    if not m.any():
-        raise ValueError("mask selects no observed entries")
+    t, m = _observed_input(truth, mask)
     dims = t.shape
-
     x = project(t, m)
-    denom = fro_norm(x) or 1.0
-    mu = cfg.mu0 if cfg.mu0 is not None else 1.0 / max(fro_norm(x), 1e-12)
+    mu0 = cfg.mu0 if cfg.mu0 is not None else 1.0 / max(fro_norm(x), 1e-12)
     ys = [np.zeros(dims) for _ in range(3)]
-    history: list[float] = []
-    converged = False
 
-    start = time.perf_counter()
-    for k in range(cfg.max_iters):
+    def step(x, mu):
         blended = np.zeros(dims)
         folded = []
-        try:
-            for n in range(3):
-                yn = unfold(ys[n], n + 1)
-                mn = svt(unfold(x, n + 1) + yn / mu, cfg.alpha[n] / mu)
-                folded.append(fold(mn, n + 1, dims))
-                blended += fold(mn - yn / mu, n + 1, dims)
-        except NumericalError as err:
-            raise NumericalError(f"iteration {k + 1}: {err}") from err
+        for n in range(3):
+            yn = unfold(ys[n], n + 1)
+            mn = svt(unfold(x, n + 1) + yn / mu, cfg.alpha[n] / mu)
+            folded.append(fold(mn, n + 1, dims))
+            blended += fold(mn - yn / mu, n + 1, dims)
         x_new = np.where(m, t, blended / 3.0)
         for n in range(3):
             ys[n] = ys[n] + mu * (x_new - folded[n])
-        if not np.all(np.isfinite(x_new)):
-            raise NumericalError(f"iteration {k + 1}: completion diverged to non-finite values")
-        resid = fro_norm(x_new - x) / denom
-        history.append(resid)
-        x = x_new
-        mu = min(cfg.rho * mu, cfg.mu_max)
-        if resid <= cfg.epsilon:
-            converged = True
-            break
-    wall = time.perf_counter() - start
+        return x_new
 
     sizes = tuple(
         (dims[n], int(np.prod([d for j, d in enumerate(dims) if j != n]))) for n in range(3)
     )
-    return CompletionReport(
-        completed=x,
-        iterations=len(history),
-        converged=converged,
-        residual_history=tuple(history),
-        wall_time=wall,
-        svd_shapes=sizes,
-    )
+    return _run_admm(x, cfg, mu0, step, sizes)

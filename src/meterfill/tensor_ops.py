@@ -1,9 +1,9 @@
 """Dense order-3 tensor arithmetic.
 
-Unfolding/folding, Khatri-Rao and Hadamard products, Frobenius norms, and
-masked projections. Everything operates on plain float64 numpy arrays of
-shape ``(I1, I2, I3)``; missing values are carried by a separate boolean
-mask, never by NaN sentinels inside the tensor.
+Unfolding/folding, the Khatri-Rao product, CP reconstruction, Frobenius
+norms, and masked projections. Everything operates on plain float64 numpy
+arrays of shape ``(I1, I2, I3)``; missing values are carried by a separate
+boolean mask, never by NaN sentinels inside the tensor.
 """
 
 from __future__ import annotations
@@ -104,27 +104,12 @@ def cp_reconstruct(factors) -> np.ndarray:
     return (u1 @ khatri_rao(u2, u3).T).reshape(u1.shape[0], u2.shape[0], u3.shape[0])
 
 
-def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise product of two equally shaped tensors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a * b
-
-
 def fro_norm(t: np.ndarray) -> float:
     """Frobenius norm: square root of the sum of squared entries."""
     return float(np.linalg.norm(np.asarray(t, dtype=np.float64)))
 
 
-def project(t: np.ndarray, mask: np.ndarray, keep_observed: bool = True) -> np.ndarray:
-    """Keep entries on the selected index set, zero elsewhere.
-
-    ``keep_observed=True`` keeps masked-True entries; ``False`` keeps the
-    complement. The two projections always sum back to ``t``.
-    """
+def project(t: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Keep the masked-True (observed) entries, zero elsewhere."""
     t = np.asarray(t, dtype=np.float64)
-    m = as_mask(mask, t.shape)
-    sel = m if keep_observed else ~m
-    return np.where(sel, t, 0.0)
+    return np.where(as_mask(mask, t.shape), t, 0.0)

@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread, set before numpy loads: the solvers' matrix products have
+# at most 20 columns, and at two OpenBLAS threads they run several times
+# slower than at one. A value already in the environment is kept.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

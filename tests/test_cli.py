@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from meterfill.cli import main, _parse_rates
+from meterfill.cli import _parse_rates, _solver_configs, build_parser, main
 from meterfill.data import load_dataset, save_csv, simulate_missing, synth_electrical_tensor
 from meterfill.benchmark import rse
+from meterfill.cpd_lrtc import SolverConfig
+from meterfill.halrtc import HalrtcConfig
 from meterfill.tensor_ops import unfold
 
 
@@ -37,6 +39,36 @@ class TestParseRates:
 
     def test_list(self):
         assert _parse_rates("0.1,0.35") == [0.1, 0.35]
+
+    @pytest.mark.parametrize(
+        "text,rates", [("0.1..0.4:0.2", [0.1, 0.3]), ("0.5..0.95:0.3", [0.5, 0.8])]
+    )
+    def test_range_stops_at_upper_bound(self, text, rates):
+        assert _parse_rates(text) == rates
+
+
+class TestSolverFlags:
+    @pytest.mark.parametrize("command", ["complete", "bench"])
+    def test_flags_reach_the_configs_with_those_fields(self, command):
+        io = ["--input", "in.csv", "--output", "out.csv"] if command == "complete" else []
+        args = build_parser().parse_args([
+            command, *io, "--rho", "1.2", "--mu0", "0.5", "--mu-max", "1e6",
+            "--epsilon", "1e-5", "--max-iters", "7", "--alpha", "0.5,0.25,0.25",
+            "--rank", "4", "--lambda", "2", "--seed", "9",
+        ])
+        cpd, hal = _solver_configs(args)
+        shared = {"rho": 1.2, "mu0": 0.5, "mu_max": 1e6, "epsilon": 1e-5, "max_iters": 7,
+                  "alpha": (0.5, 0.25, 0.25)}
+        for cfg in (cpd, hal):
+            assert {name: getattr(cfg, name) for name in shared} == shared
+        assert (cpd.rank, cpd.lam, cpd.seed) == (4, 2.0, 9)
+        assert not {"rank", "lam", "seed"} & set(vars(hal))
+
+    def test_flags_not_given_keep_defaults(self):
+        args = build_parser().parse_args(["complete", "--input", "in.csv", "--output", "out.csv"])
+        cpd, hal = _solver_configs(args)
+        assert cpd == SolverConfig()
+        assert hal == HalrtcConfig()
 
 
 class TestSynth:

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from meterfill.cpd_lrtc import SolverConfig, complete
+from meterfill import halrtc
+from meterfill.cpd_lrtc import NumericalError, SolverConfig, complete, svt
 from meterfill.data import SynthSpec, derive_seed, simulate_missing, synth_load_tensor
 from meterfill.halrtc import HalrtcConfig, complete_halrtc
 from meterfill.benchmark import rse
-from meterfill.tensor_ops import project
+from meterfill.tensor_ops import fold, fro_norm, project, unfold
 
 
 class TestConfig:
@@ -82,3 +83,83 @@ class TestCompleteHalrtc:
     def test_empty_mask_rejected(self):
         with pytest.raises(ValueError):
             complete_halrtc(np.ones((2, 2, 2)), np.zeros((2, 2, 2), bool))
+
+    # The dual step subtracts the injected inf from itself before the loop checks the residual.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_divergence_names_the_iteration(self, monkeypatch, rng, bad):
+        # fold runs twice per mode, six times an iteration; even calls refold
+        # the estimates that are averaged into X, so call 14 is iteration 3's.
+        calls = []
+        refold = halrtc.fold
+
+        def diverging(m, n, dims):
+            calls.append(None)
+            out = refold(m, n, dims)
+            if len(calls) >= 14:
+                out[...] = bad
+            return out
+
+        monkeypatch.setattr(halrtc, "fold", diverging)
+        t = rng.standard_normal((8, 7, 6))
+        mask = rng.random(t.shape) < 0.5
+        with pytest.raises(
+            NumericalError, match=r"^iteration 3: completion diverged to non-finite values$"
+        ):
+            complete_halrtc(t, mask, HalrtcConfig(max_iters=10, epsilon=1e-9))
+
+
+def reference_complete_halrtc(truth, mask, cfg):
+    """HaLRTC with its own outer loop, as it stood before the loop was shared
+    with CPD-LRTC; the bit-identity tests compare against it. Returns the
+    completion, the residual history, the iteration count and the
+    convergence flag.
+    """
+    t = np.asarray(truth, dtype=np.float64)
+    m = np.asarray(mask, dtype=bool)
+    dims = t.shape
+    x = project(t, m)
+    denom = fro_norm(x) or 1.0
+    mu = cfg.mu0 if cfg.mu0 is not None else 1.0 / max(fro_norm(x), 1e-12)
+    ys = [np.zeros(dims) for _ in range(3)]
+    history = []
+    converged = False
+    for _ in range(cfg.max_iters):
+        blended = np.zeros(dims)
+        folded = []
+        for n in range(3):
+            yn = unfold(ys[n], n + 1)
+            mn = svt(unfold(x, n + 1) + yn / mu, cfg.alpha[n] / mu)
+            folded.append(fold(mn, n + 1, dims))
+            blended += fold(mn - yn / mu, n + 1, dims)
+        x_new = np.where(m, t, blended / 3.0)
+        for n in range(3):
+            ys[n] = ys[n] + mu * (x_new - folded[n])
+        resid = fro_norm(x_new - x) / denom
+        history.append(resid)
+        x = x_new
+        mu = min(cfg.rho * mu, cfg.mu_max)
+        if resid <= cfg.epsilon:
+            converged = True
+            break
+    return x, tuple(history), len(history), converged
+
+
+class TestParityWithOwnLoop:
+    """The shared ADMM driver runs exactly the arithmetic of HaLRTC's own loop."""
+
+    @pytest.mark.parametrize("dims", [(30, 48, 50), (31, 48, 114)])
+    @pytest.mark.parametrize("rate", [0.5, 0.9])
+    @pytest.mark.parametrize(
+        "cfg", [HalrtcConfig(), HalrtcConfig(mu0=0.5, max_iters=40)], ids=["adaptive", "mu0"]
+    )
+    def test_bit_identical(self, dims, rate, cfg):
+        sr = synth_load_tensor(SynthSpec(dims=dims, rank=3), seed=7)
+        masked = simulate_missing(sr.dataset, rate, derive_seed(11, "mask", f"{rate}"))
+        t, mask = masked.tensor, masked.mask
+        ref, ref_history, ref_iters, ref_converged = reference_complete_halrtc(t, mask, cfg)
+        report = complete_halrtc(t, mask, cfg)
+        assert np.array_equal(report.completed, ref)
+        assert report.residual_history == ref_history
+        assert report.iterations == ref_iters
+        assert report.converged == ref_converged

@@ -13,7 +13,6 @@ from meterfill.tensor_ops import (
     cp_reconstruct,
     fold,
     fro_norm,
-    hadamard,
     khatri_rao,
     project,
     unfold,
@@ -176,20 +175,6 @@ class TestCpReconstruct:
 
 
 class TestElementwise:
-    def test_hadamard_identity_and_zero(self, rng):
-        a = rng.standard_normal((2, 3, 4))
-        assert np.array_equal(hadamard(a, np.ones_like(a)), a)
-        assert np.array_equal(hadamard(a, np.zeros_like(a)), np.zeros_like(a))
-
-    def test_hadamard_mask_matches_project(self, rng):
-        t = rng.standard_normal((3, 4, 2))
-        mask = rng.random((3, 4, 2)) < 0.5
-        assert np.array_equal(hadamard(t, mask.astype(float)), project(t, mask))
-
-    def test_hadamard_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            hadamard(np.ones((2, 2, 2)), np.ones((2, 2, 3)))
-
     def test_fro_norm_values(self):
         assert fro_norm(np.zeros((2, 2, 2))) == 0.0
         t = np.zeros((2, 2, 2))
@@ -210,7 +195,7 @@ class TestProject:
         g = np.random.default_rng(seed)
         t = g.standard_normal(dims)
         mask = g.random(dims) < 0.5
-        total = project(t, mask, keep_observed=True) + project(t, mask, keep_observed=False)
+        total = project(t, mask) + project(t, ~mask)
         assert np.array_equal(total, t)
 
     def test_dim_mismatch(self):
