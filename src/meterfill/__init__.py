@@ -22,7 +22,7 @@ from .cpd_lrtc import (
 )
 from .data import (
     DataError,
-    MeterRecord,
+    MeterColumns,
     PrefillResult,
     SynthSpec,
     SynthResult,

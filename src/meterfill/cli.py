@@ -124,11 +124,8 @@ def _report_payload(ds, outcome) -> dict:
 def cmd_complete(args) -> int:
     ds = _load_input(args)
     cpd_cfg, hal_cfg = _solver_configs(args)
-    prefill = args.prefill
-    if prefill is None and ds.layout != data.LAYOUT_MULTI_MEASUREMENT:
-        prefill = False
     outcome = benchmark.complete_dataset(
-        ds, args.method, cpd_cfg=cpd_cfg, halrtc_cfg=hal_cfg, prefill=prefill
+        ds, args.method, cpd_cfg=cpd_cfg, halrtc_cfg=hal_cfg, prefill=args.prefill
     )
     completed_ds = data.TensorDataset(
         tensor=outcome.completed,

@@ -1,21 +1,25 @@
 """Smart-meter measurement datasets.
 
-Builds the day x slot x channel tensor from long-format records, serializes
+Builds the day x slot x channel tensor from long-format readings, serializes
 it to CSV, simulates random missing data, generates synthetic load tensors,
 and pre-fills single-user multi-measurement tensors through the power
 identity ``P = U * I * cos_phi``.
 
 CSV format (UTF-8, header ``day,slot,channel,value``): one row per tensor
 position, ``day`` and ``slot`` 1-based integers, ``channel`` a string, and
-``value`` a decimal float or empty for a missing observation.
+``value`` a decimal float or empty for a missing observation. Files are
+parsed into :class:`MeterColumns`, one array per field, where NaN marks an
+empty value field only (the text ``nan`` is rejected like ``inf``).
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,14 +54,19 @@ def derive_seed(seed: int, *labels) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-@dataclass(frozen=True)
-class MeterRecord:
-    """One meter reading; ``value=None`` records an explicitly missing position."""
+class MeterColumns(NamedTuple):
+    """Long-format meter readings, one array entry per CSV row.
 
-    day: int
-    slot: int
-    channel: str
-    value: float | None
+    ``day`` and ``slot`` are 1-based int64 indices, ``channel`` holds int64
+    codes into ``channels`` (names in order of first appearance), and
+    ``value`` is float64 with NaN marking an explicitly missing position.
+    """
+
+    day: np.ndarray
+    slot: np.ndarray
+    channel: np.ndarray
+    value: np.ndarray
+    channels: tuple[str, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,75 +125,53 @@ def infer_layout(channel_labels) -> str:
     return LAYOUT_MULTI_USER
 
 
-def build_tensor(records, layout: str, dims=None) -> TensorDataset:
-    """Assemble a dataset from records; absent positions become unobserved.
+def build_tensor(cols: MeterColumns, layout: str, dims=None) -> TensorDataset:
+    """Assemble a dataset from columns; absent and NaN positions become unobserved.
 
-    Duplicate ``(day, slot, channel)`` keys and out-of-range indices are
-    rejected. For the multi-measurement layout, observed values must satisfy
-    ``cos_phi`` in [-1, 1] and nonnegative ``U`` and ``I``.
+    Duplicate ``(day, slot, channel)`` keys, out-of-range indices and channel
+    codes, and infinite values are rejected. For the multi-measurement
+    layout, observed values must satisfy ``cos_phi`` in [-1, 1] and
+    nonnegative ``U`` and ``I``.
     """
     if layout not in LAYOUTS:
         raise ValueError(f"unknown layout {layout!r}")
-    records = list(records)
-
-    chan_order: dict[str, int] = {}
-    for r in records:
-        chan_order.setdefault(r.channel, len(chan_order))
-
+    day, slot, chan, value, names = cols
     if dims is None:
-        if not records:
+        if not day.size:
             raise DataError("cannot infer dims from an empty record set")
-        dims = (
-            max(r.day for r in records),
-            max(r.slot for r in records),
-            len(chan_order),
-        )
+        dims = (day.max(), slot.max(), len(names))
     dims = tuple(int(d) for d in dims)
     if len(dims) != 3 or min(dims) < 1:
         raise ValueError(f"dims must be three positive integers, got {dims}")
-    if len(chan_order) > dims[2]:
-        raise DataError(f"records name {len(chan_order)} channels, dims allow {dims[2]}")
-    channels = list(chan_order) + [
-        f"channel_{k + 1}" for k in range(len(chan_order), dims[2])
-    ]
+    if len(names) > dims[2]:
+        raise DataError(f"records name {len(names)} channels, dims allow {dims[2]}")
+    channels = list(names) + [f"channel_{k + 1}" for k in range(len(names), dims[2])]
 
+    def position(k):
+        return f"day={day[k]}, slot={slot[k]}, channel={names[chan[k]]!r}"
+
+    bad = (chan < 0) | (chan >= len(names))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise DataError(f"record {k} has channel code {chan[k]}, but {len(names)} channels")
+    bad = (day < 1) | (day > dims[0]) | (slot < 1) | (slot > dims[1])
+    if bad.any():
+        raise DataError(f"record {position(int(np.argmax(bad)))} is outside dims {dims}")
+    lin = np.ravel_multi_index((day - 1, slot - 1, chan), dims)
+    uniq, counts = np.unique(lin, return_counts=True)
+    if counts.max(initial=0) > 1:
+        d, s, c = np.unravel_index(uniq[int(np.argmax(counts > 1))], dims)
+        raise DataError(
+            f"duplicate record for day={d + 1}, slot={s + 1}, channel={channels[c]!r}"
+        )
+    bad = np.isinf(value)
+    if bad.any():
+        raise DataError(f"non-finite value for {position(int(np.argmax(bad)))}")
+    observed = ~np.isnan(value)
     tensor = np.zeros(dims)
     mask = np.zeros(dims, dtype=bool)
-    if records:
-        days = np.fromiter((r.day for r in records), dtype=np.int64, count=len(records))
-        slots = np.fromiter((r.slot for r in records), dtype=np.int64, count=len(records))
-        chans = np.fromiter(
-            (chan_order[r.channel] for r in records), dtype=np.int64, count=len(records)
-        )
-        bad = (days < 1) | (days > dims[0]) | (slots < 1) | (slots > dims[1])
-        if bad.any():
-            r = records[int(np.argmax(bad))]
-            raise DataError(
-                f"record day={r.day}, slot={r.slot}, channel={r.channel!r} "
-                f"is outside dims {dims}"
-            )
-        lin = np.ravel_multi_index((days - 1, slots - 1, chans), dims)
-        uniq, counts = np.unique(lin, return_counts=True)
-        if counts.max(initial=0) > 1:
-            d, s, c = np.unravel_index(uniq[int(np.argmax(counts > 1))], dims)
-            raise DataError(
-                f"duplicate record for day={d + 1}, slot={s + 1}, channel={channels[c]!r}"
-            )
-        observed = np.fromiter(
-            (r.value is not None for r in records), dtype=bool, count=len(records)
-        )
-        values = np.fromiter(
-            (r.value if r.value is not None else 0.0 for r in records),
-            dtype=np.float64,
-            count=len(records),
-        )
-        if not np.all(np.isfinite(values)):
-            r = records[int(np.argmax(~np.isfinite(values)))]
-            raise DataError(
-                f"non-finite value for day={r.day}, slot={r.slot}, channel={r.channel!r}"
-            )
-        tensor.flat[lin[observed]] = values[observed]
-        mask.flat[lin[observed]] = True
+    tensor.flat[lin[observed]] = value[observed]
+    mask.flat[lin[observed]] = True
 
     ds = TensorDataset(
         tensor=tensor,
@@ -419,9 +406,10 @@ def synth_electrical_tensor(days: int, slots: int, seed: int) -> TensorDataset:
 # CSV serialization
 
 
-def load_csv(path) -> list[MeterRecord]:
-    """Read long-format records; empty value fields mark missing positions."""
-    records: list[MeterRecord] = []
+def load_csv(path) -> MeterColumns:
+    """Read long-format rows into columns; empty value fields mark missing positions."""
+    days, slots, codes, values = [], [], [], []
+    names: dict[str, int] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -429,9 +417,11 @@ def load_csv(path) -> list[MeterRecord]:
             raise DataError(
                 f"{path}: expected header {','.join(CSV_HEADER)!r}, got {header}"
             )
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
+            # the physical line: a quoted field may span several lines
+            lineno = reader.line_num
             if len(row) != 4:
                 raise DataError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
             try:
@@ -443,7 +433,7 @@ def load_csv(path) -> list[MeterRecord]:
                 raise DataError(f"{path}:{lineno}: empty channel name")
             raw = row[3].strip()
             if raw == "":
-                value: float | None = None
+                value = math.nan
             else:
                 try:
                     value = float(raw)
@@ -451,29 +441,33 @@ def load_csv(path) -> list[MeterRecord]:
                     raise DataError(f"{path}:{lineno}: bad value {raw!r}") from None
                 if not math.isfinite(value):
                     raise DataError(f"{path}:{lineno}: non-finite value {raw!r}")
-            records.append(MeterRecord(day, slot, channel, value))
-    return records
+            days.append(day)
+            slots.append(slot)
+            codes.append(names.setdefault(channel, len(names)))
+            values.append(value)
+    try:
+        day, slot = np.array(days, dtype=np.int64), np.array(slots, dtype=np.int64)
+    except OverflowError:
+        raise DataError(f"{path}: day or slot beyond the 64-bit integer range") from None
+    return MeterColumns(day, slot, np.array(codes, dtype=np.int64), np.array(values), tuple(names))
 
 
 def save_csv(ds: TensorDataset, path) -> None:
     """Write the full position grid in day-major order; missing values are empty."""
+    cells = itertools.product(ds.day_labels, ds.slot_labels, ds.channel_labels)
+    values = zip(ds.tensor.ravel().tolist(), ds.mask.ravel().tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for di, day in enumerate(ds.day_labels):
-            for si, slot in enumerate(ds.slot_labels):
-                for ci, chan in enumerate(ds.channel_labels):
-                    value = repr(float(ds.tensor[di, si, ci])) if ds.mask[di, si, ci] else ""
-                    writer.writerow((day, slot, chan, value))
+        writer.writerows((*cell, repr(v) if seen else "") for cell, (v, seen) in zip(cells, values))
 
 
 def load_dataset(path, layout: str | None = None, dims=None) -> TensorDataset:
     """Load a CSV file into a dataset; layout defaults to channel-set inference."""
-    records = load_csv(path)
+    cols = load_csv(path)
     if layout is None:
-        chans = {r.channel for r in records}
-        layout = infer_layout(chans)
-    return build_tensor(records, layout=layout, dims=dims)
+        layout = infer_layout(cols.channels)
+    return build_tensor(cols, layout=layout, dims=dims)
 
 
 # ---------------------------------------------------------------------------

@@ -62,8 +62,10 @@ def complete_halrtc(truth, mask, cfg: HalrtcConfig | None = None) -> CompletionR
             folded.append(fold(mn, n + 1, dims))
             blended += fold(mn - yn / mu, n + 1, dims)
         x_new = np.where(m, t, blended / 3.0)
-        for n in range(3):
-            ys[n] = ys[n] + mu * (x_new - folded[n])
+        # A diverged iterate gives inf - inf here; the loop's non-finite check follows.
+        with np.errstate(invalid="ignore"):
+            for n in range(3):
+                ys[n] = ys[n] + mu * (x_new - folded[n])
         return x_new
 
     sizes = tuple(

@@ -1,7 +1,9 @@
 """Dataset construction, CSV round-trips, masking, pre-fill, and generators."""
 
+import csv
+import math
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -10,12 +12,14 @@ from hypothesis import strategies as st
 
 from conftest import make_dataset
 from meterfill.data import (
+    CSV_HEADER,
     ELECTRICAL_CHANNELS,
     LAYOUT_MULTI_MEASUREMENT,
     LAYOUT_MULTI_USER,
     DataError,
-    MeterRecord,
+    MeterColumns,
     SynthSpec,
+    TensorDataset,
     build_tensor,
     derive_seed,
     destandardize_channels,
@@ -48,50 +52,84 @@ def electrical_dataset(grid):
     )
 
 
+def columns(*rows):
+    """MeterColumns from (day, slot, channel, value) tuples; value None marks missing."""
+    names: dict[str, int] = {}
+    codes = [names.setdefault(chan, len(names)) for _, _, chan, _ in rows]
+    return MeterColumns(
+        day=np.array([r[0] for r in rows], dtype=np.int64),
+        slot=np.array([r[1] for r in rows], dtype=np.int64),
+        channel=np.array(codes, dtype=np.int64),
+        value=np.array([math.nan if r[3] is None else r[3] for r in rows], dtype=np.float64),
+        channels=tuple(names),
+    )
+
+
 class TestBuildTensor:
     def test_empty_records_with_dims(self):
-        ds = build_tensor([], LAYOUT_MULTI_USER, dims=(2, 2, 2))
+        ds = build_tensor(columns(), LAYOUT_MULTI_USER, dims=(2, 2, 2))
         assert not ds.mask.any()
         assert np.array_equal(ds.tensor, np.zeros((2, 2, 2)))
 
+    def test_empty_records_without_dims(self):
+        with pytest.raises(DataError, match="cannot infer dims"):
+            build_tensor(columns(), LAYOUT_MULTI_USER)
+
     def test_full_grid(self):
-        records = [
-            MeterRecord(d, s, f"u{c}", float(d * s * c))
-            for d in (1, 2) for s in (1, 2, 3) for c in (1, 2)
-        ]
-        ds = build_tensor(records, LAYOUT_MULTI_USER)
+        cols = columns(
+            *((d, s, f"u{c}", float(d * s * c)) for d in (1, 2) for s in (1, 2, 3) for c in (1, 2))
+        )
+        ds = build_tensor(cols, LAYOUT_MULTI_USER)
         assert ds.dims == (2, 3, 2)
         assert ds.mask.all()
         assert ds.tensor[1, 2, 0] == 6.0
 
     def test_none_value_marks_missing(self):
-        records = [MeterRecord(1, 1, "a", 2.0), MeterRecord(1, 2, "a", None)]
-        ds = build_tensor(records, LAYOUT_MULTI_USER, dims=(1, 2, 1))
+        cols = columns((1, 1, "a", 2.0), (1, 2, "a", None))
+        ds = build_tensor(cols, LAYOUT_MULTI_USER, dims=(1, 2, 1))
         assert ds.mask[0, 0, 0] and not ds.mask[0, 1, 0]
 
     def test_duplicate_key_rejected(self):
-        records = [MeterRecord(1, 1, "a", 1.0), MeterRecord(1, 1, "a", 2.0)]
+        cols = columns((1, 1, "a", 1.0), (1, 1, "a", 2.0))
         with pytest.raises(DataError, match="duplicate record for day=1, slot=1"):
-            build_tensor(records, LAYOUT_MULTI_USER, dims=(2, 2, 1))
+            build_tensor(cols, LAYOUT_MULTI_USER, dims=(2, 2, 1))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(DataError, match="outside dims"):
-            build_tensor([MeterRecord(3, 1, "a", 1.0)], LAYOUT_MULTI_USER, dims=(2, 2, 1))
+            build_tensor(columns((3, 1, "a", 1.0)), LAYOUT_MULTI_USER, dims=(2, 2, 1))
+
+    @pytest.mark.parametrize("code", [-1, 1])
+    def test_channel_code_out_of_range_rejected(self, code):
+        cols = columns((1, 1, "a", 1.0))._replace(channel=np.array([code]))
+        with pytest.raises(DataError, match=f"channel code {code}, but 1 channels"):
+            build_tensor(cols, LAYOUT_MULTI_USER, dims=(2, 2, 2))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_value_rejected(self, bad):
+        cols = columns((1, 1, "a", 1.0), (1, 2, "a", bad))
+        with pytest.raises(DataError, match="non-finite value for day=1, slot=2, channel='a'"):
+            build_tensor(cols, LAYOUT_MULTI_USER)
+
+    def test_too_many_channels_for_dims(self):
+        cols = columns((1, 1, "a", 1.0), (1, 1, "b", 1.0))
+        with pytest.raises(DataError, match="records name 2 channels, dims allow 1"):
+            build_tensor(cols, LAYOUT_MULTI_USER, dims=(1, 1, 1))
 
     def test_electrical_value_ranges(self):
-        records = [MeterRecord(1, 1, c, 1.0) for c in ("P", "U", "I")]
-        records.append(MeterRecord(1, 1, "cos_phi", 1.5))
+        cols = columns(*((1, 1, c, 1.0) for c in ("P", "U", "I")), (1, 1, "cos_phi", 1.5))
         with pytest.raises(DataError, match="cos_phi"):
-            build_tensor(records, LAYOUT_MULTI_MEASUREMENT, dims=(1, 1, 4))
+            build_tensor(cols, LAYOUT_MULTI_MEASUREMENT, dims=(1, 1, 4))
 
     def test_large_grid_builds_quickly(self):
         dims = (31, 48, 114)
-        records = [
-            MeterRecord(d + 1, s + 1, f"user_{c:03d}", float(d + s + c))
-            for d in range(dims[0]) for s in range(dims[1]) for c in range(dims[2])
-        ]
+        cols = columns(
+            *(
+                (d + 1, s + 1, f"user_{c:03d}", float(d + s + c))
+                for d in range(dims[0]) for s in range(dims[1]) for c in range(dims[2])
+            )
+        )
         start = time.perf_counter()
-        ds = build_tensor(records, LAYOUT_MULTI_USER, dims)
+        ds = build_tensor(cols, LAYOUT_MULTI_USER, dims)
         elapsed = time.perf_counter() - start
         assert ds.mask.all()
         assert elapsed < 1.0
@@ -280,9 +318,9 @@ class TestCsv:
     def test_empty_value_is_missing(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("day,slot,channel,value\n1,1,a,2.5\n1,2,a,\n")
-        records = load_csv(path)
-        assert records[0].value == 2.5
-        assert records[1].value is None
+        cols = load_csv(path)
+        assert cols.value[0] == 2.5
+        assert np.isnan(cols.value[1])
 
     def test_header_mismatch_rejected(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -294,6 +332,28 @@ class TestCsv:
         path = tmp_path / "data.csv"
         path.write_text("day,slot,channel,value\n1,1,a,2.5\n1,x,a,1.0\n")
         with pytest.raises(DataError, match=":3:"):
+            load_csv(path)
+
+    def test_line_after_multiline_field(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text('day,slot,channel,value\n1,1,"a\nb",2.5\n1,x,a,1.0\n')
+        with pytest.raises(DataError, match=":4:"):
+            load_csv(path)
+
+    def test_columns(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("day,slot,channel,value\n2,1,b,1.5\n1,3, a ,\n1,1,b,-2\n")
+        cols = load_csv(path)
+        assert cols.channels == ("b", "a")
+        for col, want in zip(cols[:3], ([2, 1, 1], [1, 3, 1], [0, 1, 0])):
+            assert col.dtype == np.int64 and col.tolist() == want
+        assert cols.value.dtype == np.float64
+        assert np.array_equal(cols.value, [1.5, np.nan, -2.0], equal_nan=True)
+
+    def test_huge_day_rejected(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text(f"day,slot,channel,value\n{2**63},1,a,1.0\n")
+        with pytest.raises(DataError, match="64-bit"):
             load_csv(path)
 
     def test_bad_value_reports_line(self, tmp_path):
@@ -318,6 +378,123 @@ class TestCsv:
     def test_infer_layout(self):
         assert infer_layout(("P", "U", "I", "cos_phi")) == LAYOUT_MULTI_MEASUREMENT
         assert infer_layout(("u1", "u2")) == LAYOUT_MULTI_USER
+
+
+@dataclass(frozen=True)
+class _Record:
+    day: int
+    slot: int
+    channel: str
+    value: float | None
+
+
+def reference_save_csv(ds, path):
+    """The triple-loop writer that the columnar save_csv replaced."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        for di, day in enumerate(ds.day_labels):
+            for si, slot in enumerate(ds.slot_labels):
+                for ci, chan in enumerate(ds.channel_labels):
+                    value = repr(float(ds.tensor[di, si, ci])) if ds.mask[di, si, ci] else ""
+                    writer.writerow((day, slot, chan, value))
+
+
+def reference_load_dataset(path):
+    """The record-per-row reader and builder that the columnar path replaced,
+    for files that pass every check (layout inferred, dims from the data)."""
+    records = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            if not row:
+                continue
+            raw = row[3].strip()
+            value = None if raw == "" else float(raw)
+            records.append(_Record(int(row[0]), int(row[1]), row[2].strip(), value))
+    chan_order: dict[str, int] = {}
+    for r in records:
+        chan_order.setdefault(r.channel, len(chan_order))
+    dims = (max(r.day for r in records), max(r.slot for r in records), len(chan_order))
+    days = np.fromiter((r.day for r in records), dtype=np.int64, count=len(records))
+    slots = np.fromiter((r.slot for r in records), dtype=np.int64, count=len(records))
+    chans = np.fromiter(
+        (chan_order[r.channel] for r in records), dtype=np.int64, count=len(records)
+    )
+    lin = np.ravel_multi_index((days - 1, slots - 1, chans), dims)
+    observed = np.fromiter((r.value is not None for r in records), dtype=bool, count=len(records))
+    values = np.fromiter(
+        (r.value if r.value is not None else 0.0 for r in records),
+        dtype=np.float64,
+        count=len(records),
+    )
+    tensor = np.zeros(dims)
+    mask = np.zeros(dims, dtype=bool)
+    tensor.flat[lin[observed]] = values[observed]
+    mask.flat[lin[observed]] = True
+    return TensorDataset(
+        tensor=tensor,
+        mask=mask,
+        day_labels=tuple(range(1, dims[0] + 1)),
+        slot_labels=tuple(range(1, dims[1] + 1)),
+        channel_labels=tuple(chan_order),
+        layout=infer_layout(chan_order),
+    )
+
+
+def _edge_values_dataset():
+    """Odd channel names, extreme and signed-zero values, and masked entries."""
+    tensor = np.random.default_rng(3).standard_normal((2, 3, 3))
+    edges = [-0.0, 1e-5, 1e16, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+    tensor.flat[: len(edges)] = edges
+    mask = np.ones(tensor.shape, dtype=bool)
+    mask.flat[[6, 10, 17]] = False
+    return make_dataset(
+        np.where(mask, tensor, 0.0), mask, channels=("a,b", 'q"x', "user_001")
+    )
+
+
+@pytest.fixture(scope="module")
+def parity_datasets():
+    synth = synth_load_tensor(SynthSpec(dims=(31, 48, 114), rank=3, noise=0.05), seed=7)
+    return {
+        "edge-values": _edge_values_dataset(),
+        "synth-31x48x114": simulate_missing(synth.dataset, 0.5, seed=11),
+        "electrical": simulate_missing(synth_electrical_tensor(3, 8, seed=1), 0.3, seed=2),
+    }
+
+
+PARITY_IDS = ("edge-values", "synth-31x48x114", "electrical")
+
+
+class TestParityWithRecordPath:
+    @pytest.mark.parametrize("name", PARITY_IDS)
+    def test_save_csv_bytes(self, tmp_path, parity_datasets, name):
+        ds = parity_datasets[name]
+        save_csv(ds, tmp_path / "new.csv")
+        reference_save_csv(ds, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("name", PARITY_IDS)
+    def test_load_dataset(self, tmp_path, parity_datasets, name):
+        path = tmp_path / "data.csv"
+        reference_save_csv(parity_datasets[name], path)
+        new, old = load_dataset(path), reference_load_dataset(path)
+        assert np.array_equal(new.tensor, old.tensor)
+        assert np.array_equal(new.mask, old.mask)
+        for field in ("day_labels", "slot_labels", "channel_labels", "layout"):
+            assert getattr(new, field) == getattr(old, field)
+
+    def test_edge_values_round_trip(self, tmp_path, parity_datasets):
+        ds = parity_datasets["edge-values"]
+        path = tmp_path / "data.csv"
+        save_csv(ds, path)
+        assert 'q""x' in path.read_text() and '"a,b"' in path.read_text()
+        loaded = load_dataset(path)
+        assert np.array_equal(loaded.tensor, ds.tensor)
+        assert np.signbit(loaded.tensor.flat[0])
+        assert loaded.channel_labels == ds.channel_labels
 
 
 class TestStandardization:

@@ -84,8 +84,7 @@ class TestCompleteHalrtc:
         with pytest.raises(ValueError):
             complete_halrtc(np.ones((2, 2, 2)), np.zeros((2, 2, 2), bool))
 
-    # The dual step subtracts the injected inf from itself before the loop checks the residual.
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_divergence_names_the_iteration(self, monkeypatch, rng, bad):
         # fold runs twice per mode, six times an iteration; even calls refold
