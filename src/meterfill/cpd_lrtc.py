@@ -3,8 +3,8 @@
 The completion variable X must match the observed entries exactly while its
 CP reconstruction ``U1 o U2 o U3`` stays close to X; low rank is encouraged
 by penalizing the nuclear norms of the (small) factor matrices instead of
-the full mode unfoldings, so every SVD in the iteration runs on an
-``I_n x R`` matrix.
+the full mode unfoldings, so every singular value thresholding (SVT) in the
+iteration runs on an ``I_n x R`` matrix.
 
 Each iteration sweeps four blocks:
 
@@ -31,7 +31,13 @@ and shared by modes 1 and 2 (both see the pre-sweep U3 under Gauss-Seidel),
 mode 3 is one matrix product with ``khatri_rao(U1, U2)``, and each ridge
 Gram matrix is the Hadamard product of two ``R x R`` factor Grams. The
 observed positions are found once per solve and written into each fresh
-reconstruction, so an iteration allocates only the new completion."""
+reconstruction, so an iteration allocates only the new completion.
+
+:func:`svt`, which both solvers call, needs only the singular values above
+its threshold and their subspace, and takes both from the ``eigh`` of the
+Gram matrix on the operand's smaller side (Cai & Osher, "Fast singular value
+thresholding without singular value decomposition", 2013); operands whose
+Gram cannot be trusted go to a thin SVD."""
 
 from __future__ import annotations
 
@@ -48,7 +54,16 @@ from .tensor_ops import unfold  # noqa: F401
 
 
 class NumericalError(RuntimeError):
-    """Raised when a solve produces non-finite values or an SVD fails."""
+    """Raised when a solve produces non-finite values or an SVD or eigendecomposition fails."""
+
+
+# A kept singular value s comes out of the Gram's eigenvalue s**2 with an
+# absolute error near eps * s_max**2, so below this fraction of s_max its
+# shrinkage factor 1 - tau/s loses too many digits; svt then takes the SVD.
+_GRAM_MIN_RATIO = 1e-6
+# A largest Gram eigenvalue below this leaves the ratio test above in the
+# subnormal range (or the Gram underflowed outright); svt then takes the SVD.
+_GRAM_MIN_EIGENVALUE = np.finfo(np.float64).tiny / _GRAM_MIN_RATIO**2
 
 
 def _check_admm_fields(cfg) -> None:
@@ -144,7 +159,8 @@ class CompletionReport:
     """Outcome of one completion solve.
 
     residual_history holds the per-iteration relative change of X;
-    svd_shapes lists the distinct matrix shapes submitted to SVD.
+    svd_shapes lists the distinct matrix shapes submitted to singular value
+    thresholding (:func:`svt`).
     """
 
     completed: np.ndarray
@@ -162,11 +178,44 @@ class CompletionReport:
 def svt(m: np.ndarray, tau: float) -> np.ndarray:
     """Singular value thresholding: shrink every singular value by tau.
 
-    Returns ``U diag(max(s - tau, 0)) V^T`` from the thin SVD of m.
+    Returns ``U diag(max(s - tau, 0)) V^T`` for the thin SVD ``U diag(s) V^T``
+    of m, computed from the ``eigh`` of the Gram matrix on m's smaller side.
+    For a wide m, ``m m^T = Q diag(s**2) Q^T`` and the result is
+    ``Q_k diag(1 - tau/s_k) Q_k^T m`` over the k singular values above tau;
+    a tall m uses ``m^T m`` and returns ``m Q_k diag(1 - tau/s_k) Q_k^T``.
+    The thin SVD runs instead when the Gram cannot be trusted: it overflows,
+    its largest eigenvalue is too small for the ratio test to be
+    representable, or a kept singular value lies below ``1e-6`` of the
+    largest.
+
+    Raises :class:`NumericalError` for a non-finite m or a failed
+    decomposition.
     """
     if tau < 0:
         raise ValueError("threshold must be nonnegative")
     m = np.asarray(m, dtype=np.float64)
+    wide = m.shape[0] <= m.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = m @ m.T if wide else m.T @ m
+    if np.all(np.isfinite(gram)):
+        try:
+            lam, q = np.linalg.eigh(gram)
+        except np.linalg.LinAlgError as err:
+            raise NumericalError(f"eigendecomposition failed: {err}") from err
+        if lam.size and lam[-1] >= _GRAM_MIN_EIGENVALUE:
+            s = np.sqrt(np.maximum(lam, 0.0))
+            keep = s > tau
+            if not keep.any():
+                return np.zeros_like(m)
+            s_kept = s[keep]
+            if s_kept[0] >= _GRAM_MIN_RATIO * s_kept[-1]:
+                q_kept = q[:, keep]
+                # One small-side matrix, so each side of m is multiplied once
+                # however many singular values are kept.
+                shrink = (q_kept * (1.0 - tau / s_kept)) @ q_kept.T
+                return shrink @ m if wide else m @ shrink
+    elif not np.all(np.isfinite(m)):
+        raise NumericalError("SVT operand has non-finite entries")
     try:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as err:
@@ -243,13 +292,19 @@ def update_multipliers(state: FactorSet, mu: float) -> FactorSet:
     return FactorSet(U=state.U, M=state.M, Y=y)
 
 
-def _observed_input(truth, mask) -> tuple[np.ndarray, np.ndarray]:
-    """Validated tensor and mask; the mask must select at least one entry."""
+def _observed_input(truth, mask) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Validated tensor and mask, and the observed entries found once per solve.
+
+    Returns ``(t, m, observed_idx, observed)``: the flat C-order positions of
+    the observed entries, as :func:`update_completion` takes them, and their
+    values. The mask must select at least one entry.
+    """
     t = as_tensor(truth)
     m = as_mask(mask, t.shape)
-    if not m.any():
+    observed_idx = np.flatnonzero(m)
+    if not observed_idx.size:
         raise ValueError("mask selects no observed entries")
-    return t, m
+    return t, m, observed_idx, t[m]
 
 
 def _run_admm(x: np.ndarray, cfg, mu: float, step, svd_shapes) -> CompletionReport:
@@ -299,11 +354,9 @@ def complete(truth, mask, cfg: SolverConfig | None = None) -> CompletionReport:
     ``mask`` marks the observed positions and must select at least one entry.
     """
     cfg = cfg if cfg is not None else SolverConfig()
-    t, m = _observed_input(truth, mask)
+    t, m, observed_idx, observed = _observed_input(truth, mask)
     rank = cfg.rank if cfg.rank is not None else min(20, min(t.shape))
     state = init_factors(t.shape, rank, np.random.default_rng(cfg.seed))
-    observed_idx = np.flatnonzero(m)
-    observed = t[m]
 
     def step(x, mu):
         nonlocal state

@@ -6,7 +6,8 @@ mode-n unfolding, with singular value thresholding applied to the full
 as the CP-factor solver (penalty schedule, stopping rule, report) and
 differs from it only in its step and its default ``mu0``/``rho``, so
 benchmarks can swap methods; the structural difference is the size of the
-matrices each method sends to SVD.
+matrices each method thresholds. The shared :func:`svt` thresholds an
+unfolding through the ``eigh`` of its ``I_n x I_n`` Gram matrix.
 """
 
 from __future__ import annotations
@@ -42,30 +43,38 @@ class HalrtcConfig:
 def complete_halrtc(truth, mask, cfg: HalrtcConfig | None = None) -> CompletionReport:
     """Complete a partially observed tensor by unfolding-based ADMM.
 
-    Per iteration and mode n: shrink ``unfold(X, n) + unfold(Y_n, n) / mu``,
-    average the refolded estimates into X, re-impose the observed entries,
-    then step the duals by the remaining mode residuals.
+    Per iteration and mode n: shrink ``unfold(X + Y_n / mu, n)``, average
+    the refolded estimates minus ``Y_n / mu`` into X, re-impose the observed
+    entries, then step the duals by the remaining mode residuals.
     """
     cfg = cfg if cfg is not None else HalrtcConfig()
-    t, m = _observed_input(truth, mask)
+    t, m, observed_idx, observed = _observed_input(truth, mask)
     dims = t.shape
     x = project(t, m)
     mu0 = cfg.mu0 if cfg.mu0 is not None else 1.0 / max(fro_norm(x), 1e-12)
     ys = [np.zeros(dims) for _ in range(3)]
 
     def step(x, mu):
-        blended = np.zeros(dims)
         folded = []
         for n in range(3):
-            yn = unfold(ys[n], n + 1)
-            mn = svt(unfold(x, n + 1) + yn / mu, cfg.alpha[n] / mu)
-            folded.append(fold(mn, n + 1, dims))
-            blended += fold(mn - yn / mu, n + 1, dims)
-        x_new = np.where(m, t, blended / 3.0)
+            y_mu = ys[n] / mu
+            mn = fold(svt(unfold(x + y_mu, n + 1), cfg.alpha[n] / mu), n + 1, dims)
+            folded.append(mn)
+            # This mode's estimate of X, written over y_mu, which is not read again.
+            np.subtract(mn, y_mu, out=y_mu)
+            if n == 0:
+                x_new = y_mu
+            else:
+                x_new += y_mu
+        x_new /= 3.0
+        x_new.reshape(-1)[observed_idx] = observed
         # A diverged iterate gives inf - inf here; the loop's non-finite check follows.
         with np.errstate(invalid="ignore"):
-            for n in range(3):
-                ys[n] = ys[n] + mu * (x_new - folded[n])
+            for y, mn in zip(ys, folded):
+                # mu * (X - M_n), written over M_n, which is not read again.
+                residual = np.subtract(x_new, mn, out=mn)
+                residual *= mu
+                y += residual
         return x_new
 
     sizes = tuple(

@@ -29,6 +29,16 @@ def make_dataset(tensor, mask=None, layout=LAYOUT_MULTI_USER, channels=None):
     )
 
 
+def reference_svd_svt(m, tau):
+    """Singular value thresholding by thin SVD: ``U diag(max(s - tau, 0)) V^T``.
+
+    The SVD-based svt the Gram path replaced; the parity tests run the
+    reference loops with it.
+    """
+    u, s, vt = np.linalg.svd(np.asarray(m, dtype=np.float64), full_matrices=False)
+    return (u * np.maximum(s - tau, 0.0)) @ vt
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

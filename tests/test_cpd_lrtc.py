@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from conftest import reference_svd_svt
 
 from meterfill import cpd_lrtc
 from meterfill.cpd_lrtc import (
@@ -41,6 +42,28 @@ def nuclear_norm(m):
     return np.linalg.svd(m, compute_uv=False).sum()
 
 
+def operand_with_spectrum(shape, singular_values, seed):
+    """A matrix with the given singular values and random singular vectors."""
+    rng = np.random.default_rng(seed)
+    k = len(singular_values)
+    u, _ = np.linalg.qr(rng.standard_normal((shape[0], k)))
+    v, _ = np.linalg.qr(rng.standard_normal((shape[1], k)))
+    return (u * singular_values) @ v.T
+
+
+def count_svd_calls(monkeypatch):
+    """A list that grows by one with every later ``np.linalg.svd`` call."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
 class TestSvt:
     def test_diagonal(self):
         out = svt(np.diag([5.0, 1.0]), 2.0)
@@ -59,6 +82,68 @@ class TestSvt:
     def test_negative_threshold(self):
         with pytest.raises(ValueError):
             svt(np.eye(2), -1.0)
+
+    @pytest.mark.parametrize("shape", [(20, 60), (60, 20), (30, 300)])
+    def test_spectrum_matches_svd_oracle(self, monkeypatch, shape):
+        # Singular values log-spaced over 1e-6..1e3, thresholds at zero,
+        # between every neighbouring pair and above the largest: low
+        # thresholds keep values below 1e-6 of the largest and take the SVD,
+        # the others the Gram path.
+        m = operand_with_spectrum(shape, np.logspace(-6, 3, min(shape)), seed=min(shape))
+        s = np.linalg.svd(m, compute_uv=False)[::-1]
+        taus = [0.0, *np.sqrt(s[:-1] * s[1:]), 2 * s[-1]]
+        oracles = [reference_svd_svt(m, tau) for tau in taus]
+        calls = count_svd_calls(monkeypatch)
+        for tau, oracle in zip(taus[:-1], oracles):
+            out = svt(m, tau)
+            assert np.linalg.norm(out - oracle) <= 1e-10 * np.linalg.norm(oracle)
+        assert np.array_equal(svt(m, taus[-1]), np.zeros(shape))
+        assert 0 < len(calls) < len(taus) // 2
+
+    @pytest.mark.parametrize("shape", [(31, 200), (200, 31)])
+    def test_well_conditioned_operand_skips_the_svd(self, monkeypatch, rng, shape):
+        m = rng.standard_normal(shape)
+        oracle = reference_svd_svt(m, 1.0)
+        calls = count_svd_calls(monkeypatch)
+        out = svt(m, 1.0)
+        assert calls == []
+        assert np.linalg.norm(out - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+    def test_small_kept_singular_values_take_the_svd(self, monkeypatch):
+        # Kept values spanning 1e-9..1: squared into the Gram, the smallest
+        # come out with errors near 1e-16 / 1e-9 of the largest, far past 1e-10.
+        m = operand_with_spectrum((12, 40), np.logspace(-9, 0, 12), seed=3)
+        tau = 0.5e-9
+        oracle = reference_svd_svt(m, tau)
+        calls = count_svd_calls(monkeypatch)
+        out = svt(m, tau)
+        assert len(calls) == 1
+        assert np.linalg.norm(out - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+    @pytest.mark.parametrize("shape", [(6, 9), (9, 6)])
+    @pytest.mark.parametrize("c", [1e-170, 1e-150, 1e-6, 1e6, 1e150, 1e200])
+    def test_scale_equivariance(self, rng, shape, c):
+        # The Gram of entries near 1e200 overflows and near 1e-170 underflows
+        # to zero; near 1e-150 its eigenvalues are too small for the ratio
+        # test. These three take the SVD, with no overflow warning (tier-1
+        # turns RuntimeWarning into an error) and no all-zero result.
+        m = rng.standard_normal(shape)
+        expected = svt(m, 0.5)
+        out = svt(c * m, c * 0.5)
+        assert np.all(np.isfinite(out))
+        assert np.linalg.norm(out / c - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_operand(self, shape):
+        assert np.array_equal(svt(np.zeros(shape), 1.0), np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(4, 6), (6, 4)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_operand_raises(self, shape, bad):
+        m = np.ones(shape)
+        m[1, 2] = bad
+        with pytest.raises(NumericalError):
+            svt(m, 0.5)
 
 
 class TestConfigValidation:
@@ -500,17 +585,24 @@ class TestParityWithUnfoldingLoop:
         # BLAS thread; the BLAS thread count moves it too), so no reordering
         # of sums can match it to 1e-10. The rewrite is held to ten times the
         # completion's sensitivity and to 25% in the count instead.
-        t, mask = parity_instance(dims, 0.5)
-        cfg = SolverConfig()
-        ref, _, ref_iters = reference_complete(t, mask, cfg)
-        nudged = t.copy()
-        first = np.unravel_index(np.flatnonzero(mask)[0], t.shape)
-        nudged[first] = np.nextafter(nudged[first], np.inf)
-        ref_nudged, _, _ = reference_complete(nudged, mask, cfg)
-        sensitivity = rel_diff(ref_nudged, ref)
-        report = complete(t, mask, cfg)
-        assert rel_diff(report.completed, ref) <= max(10 * sensitivity, 1e-10)
-        assert abs(report.iterations - ref_iters) <= 0.25 * ref_iters
+        assert_within_rounding_sensitivity(reference_complete, dims)
+
+
+def assert_within_rounding_sensitivity(reference, dims):
+    """``complete`` at the default rank on the 50%-missing parity instance
+    lies within ten times the completion's one-ulp sensitivity of
+    ``reference`` and within 25% of its iteration count."""
+    t, mask = parity_instance(dims, 0.5)
+    cfg = SolverConfig()
+    ref, _, ref_iters = reference(t, mask, cfg)[:3]
+    nudged = t.copy()
+    first = np.unravel_index(np.flatnonzero(mask)[0], t.shape)
+    nudged[first] = np.nextafter(nudged[first], np.inf)
+    ref_nudged = reference(nudged, mask, cfg)[0]
+    sensitivity = rel_diff(ref_nudged, ref)
+    report = complete(t, mask, cfg)
+    assert rel_diff(report.completed, ref) <= max(10 * sensitivity, 1e-10)
+    assert abs(report.iterations - ref_iters) <= 0.25 * ref_iters
 
 
 def reference_own_loop_complete(truth, mask, cfg):
@@ -560,3 +652,33 @@ class TestParityWithOwnLoop:
         assert report.residual_history == ref_history
         assert report.iterations == ref_iters
         assert report.converged == ref_converged
+
+
+def svd_path_reference(monkeypatch):
+    """:func:`reference_own_loop_complete` with every SVT taken by thin SVD."""
+
+    def run(truth, mask, cfg):
+        with monkeypatch.context() as patched:
+            patched.setattr(cpd_lrtc, "svt", reference_svd_svt)
+            return reference_own_loop_complete(truth, mask, cfg)
+
+    return run
+
+
+class TestParityWithSvdPath:
+    """Whole solves with the Gram-eigh svt stay where the SVD-based svt put them."""
+
+    @pytest.mark.parametrize("dims", [(30, 48, 50), (31, 48, 114)])
+    @pytest.mark.parametrize("rate,rank", [(0.5, 5), (0.9, 5), (0.9, None)])
+    def test_same_completion(self, monkeypatch, dims, rate, rank):
+        t, mask = parity_instance(dims, rate)
+        cfg = SolverConfig(rank=rank)
+        ref, _, ref_iters, _ = svd_path_reference(monkeypatch)(t, mask, cfg)
+        report = complete(t, mask, cfg)
+        assert report.iterations == ref_iters
+        assert rel_diff(report.completed, ref) <= 1e-10
+
+    @pytest.mark.parametrize("dims", [(30, 48, 50), (31, 48, 114)])
+    def test_within_rounding_sensitivity_at_default_rank(self, monkeypatch, dims):
+        # The chaotic instances of TestParityWithUnfoldingLoop, held to its rule.
+        assert_within_rounding_sensitivity(svd_path_reference(monkeypatch), dims)
