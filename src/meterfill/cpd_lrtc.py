@@ -45,7 +45,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .tensor_ops import as_mask, as_tensor, cp_reconstruct, fro_norm, khatri_rao, project
 
@@ -54,13 +53,16 @@ from .tensor_ops import unfold  # noqa: F401
 
 
 class NumericalError(RuntimeError):
-    """Raised when a solve produces non-finite values or an SVD or eigendecomposition fails."""
+    """Raised when a solve produces non-finite values or a linear solve, SVD or
+    eigendecomposition fails."""
 
 
-# A kept singular value s comes out of the Gram's eigenvalue s**2 with an
-# absolute error near eps * s_max**2, so below this fraction of s_max its
-# shrinkage factor 1 - tau/s loses too many digits; svt then takes the SVD.
-_GRAM_MIN_RATIO = 1e-6
+# A kept singular value s comes out of the Gram's eigenvalue s**2, whose
+# absolute error is near eps * s_max**2, so s is off by about
+# eps * s_max**2 / (2 s): 1.1e-11 of s_max at this fraction of s_max, a tenth
+# of the 1e-10 by which svt must agree with the SVD. Below it the shrinkage
+# factor 1 - tau/s loses too many digits; svt then takes the SVD.
+_GRAM_MIN_RATIO = 1e-5
 # A largest Gram eigenvalue below this leaves the ratio test above in the
 # subnormal range (or the Gram underflowed outright); svt then takes the SVD.
 _GRAM_MIN_EIGENVALUE = np.finfo(np.float64).tiny / _GRAM_MIN_RATIO**2
@@ -185,7 +187,7 @@ def svt(m: np.ndarray, tau: float) -> np.ndarray:
     a tall m uses ``m^T m`` and returns ``m Q_k diag(1 - tau/s_k) Q_k^T``.
     The thin SVD runs instead when the Gram cannot be trusted: it overflows,
     its largest eigenvalue is too small for the ratio test to be
-    representable, or a kept singular value lies below ``1e-6`` of the
+    representable, or a kept singular value lies below ``1e-5`` of the
     largest.
 
     Raises :class:`NumericalError` for a non-finite m or a failed
@@ -234,12 +236,18 @@ def init_factors(dims, rank: int, rng: np.random.Generator) -> FactorSet:
 
 
 def _ridge_update(state: FactorSet, n: int, mttkrp, gram_a, gram_b, lam: float, mu: float):
-    """Minimizer U_n of the mode-n subproblem, whose Khatri-Rao Gram is ``gram_a * gram_b``."""
+    """Minimizer U_n of the mode-n subproblem, whose Khatri-Rao Gram is ``gram_a * gram_b``.
+
+    Raises :class:`NumericalError` for non-finite operands or a failed solve.
+    """
     rhs = lam * mttkrp + mu * state.M[n] + state.Y[n]
     gram = lam * (gram_a * gram_b) + mu * np.eye(len(gram_a))
     if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))):
         raise NumericalError(f"mode-{n + 1} factor update produced non-finite values")
-    return scipy.linalg.solve(gram, rhs.T, assume_a="pos").T
+    try:
+        return np.linalg.solve(gram, rhs.T).T
+    except np.linalg.LinAlgError as err:
+        raise NumericalError(f"mode-{n + 1} factor solve failed: {err}") from err
 
 
 def update_factors(state: FactorSet, x: np.ndarray, lam: float, mu: float) -> FactorSet:

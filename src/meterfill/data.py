@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import itertools
+import io
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -452,14 +452,37 @@ def load_csv(path) -> MeterColumns:
     return MeterColumns(day, slot, np.array(codes, dtype=np.int64), np.array(values), tuple(names))
 
 
+def _csv_fields(labels) -> list[str]:
+    """Each label as ``csv.writer`` writes it inside a row, followed by its comma."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    fields = []
+    for label in labels:
+        # A row of one empty field would be written as "", so pair each label
+        # with an empty field and cut the line end.
+        writer.writerow((label, ""))
+        fields.append(buf.getvalue()[:-1])
+        buf.seek(0)
+        buf.truncate()
+    return fields
+
+
 def save_csv(ds: TensorDataset, path) -> None:
-    """Write the full position grid in day-major order; missing values are empty."""
-    cells = itertools.product(ds.day_labels, ds.slot_labels, ds.channel_labels)
-    values = zip(ds.tensor.ravel().tolist(), ds.mask.ravel().tolist())
+    """Write the full position grid in day-major order; missing values are empty.
+
+    Every label is quoted once by the csv module, and each day's rows are
+    joined from those fields and the values' ``repr``.
+    """
+    heads = _csv_fields(ds.day_labels)
+    channels = _csv_fields(ds.channel_labels)
+    tails = [slot + chan for slot in _csv_fields(ds.slot_labels) for chan in channels]
+    values = ds.tensor.reshape(len(heads), -1)
+    seen = ds.mask.reshape(len(heads), -1)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        writer.writerows((*cell, repr(v) if seen else "") for cell, (v, seen) in zip(cells, values))
+        fh.write(",".join(CSV_HEADER) + "\n")
+        for head, day_values, day_seen in zip(heads, values, seen):
+            text = [repr(v) if s else "" for v, s in zip(day_values.tolist(), day_seen.tolist())]
+            fh.writelines([f"{head}{tail}{t}\n" for tail, t in zip(tails, text)])
 
 
 def load_dataset(path, layout: str | None = None, dims=None) -> TensorDataset:

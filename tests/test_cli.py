@@ -1,6 +1,10 @@
 """CLI subcommands exercised end to end over temp files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,3 +266,14 @@ class TestBench:
     def test_unknown_method_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             run_cli("bench", "--dims", "8x12x5", "--methods", "kalman")
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy.linalg alone took about 0.35 s of every CLI run's start-up.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", "import meterfill.cli, sys; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert out.stdout.strip() == "False"

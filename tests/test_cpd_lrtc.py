@@ -290,6 +290,22 @@ class TestFactorUpdate:
         ):
             update_factors(state, x, lam=1.0, mu=0.5)
 
+    def test_failed_solve_raises_numerical_error(self, monkeypatch, rng):
+        def failing(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", failing)
+        state = random_state((4, 3, 2), 2, seed=12)
+        with pytest.raises(
+            NumericalError, match=r"^mode-1 factor solve failed: Singular matrix$"
+        ):
+            update_factors(state, np.ones((4, 3, 2)), lam=1.0, mu=0.5)
+        t = rng.standard_normal((8, 7, 6))
+        with pytest.raises(
+            NumericalError, match=r"^iteration 1: mode-1 factor solve failed: Singular matrix$"
+        ):
+            complete(t, rng.random(t.shape) < 0.5, SolverConfig(rank=2))
+
 
 class TestAuxiliaryUpdate:
     def test_zero_weight_is_identity_shift(self):

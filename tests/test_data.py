@@ -455,6 +455,25 @@ def _edge_values_dataset():
     )
 
 
+def _quoting_dataset():
+    """String day and slot labels and channel names the csv module must quote.
+
+    Only written, never read back: the days and slots are not integers, and a
+    bare carriage return is written unquoted.
+    """
+    mask = np.ones((2, 3, 5), dtype=bool)
+    mask.flat[[1, 7, 29]] = False
+    tensor = np.where(mask, np.random.default_rng(4).standard_normal(mask.shape), 0.0)
+    return TensorDataset(
+        tensor=tensor,
+        mask=mask,
+        day_labels=("2024-01-01", "Tue, 2 Jan"),
+        slot_labels=("00:00", "", 'late "night"'),
+        channel_labels=("line\nbreak", "carriage\rreturn", " leading space", 'q"x', "a,b"),
+        layout=LAYOUT_MULTI_USER,
+    )
+
+
 @pytest.fixture(scope="module")
 def parity_datasets():
     synth = synth_load_tensor(SynthSpec(dims=(31, 48, 114), rank=3, noise=0.05), seed=7)
@@ -462,10 +481,14 @@ def parity_datasets():
         "edge-values": _edge_values_dataset(),
         "synth-31x48x114": simulate_missing(synth.dataset, 0.5, seed=11),
         "electrical": simulate_missing(synth_electrical_tensor(3, 8, seed=1), 0.3, seed=2),
+        "quoting": _quoting_dataset(),
     }
 
 
-PARITY_IDS = ("edge-values", "synth-31x48x114", "electrical")
+# The datasets whose files load back: integer days and slots, and channel
+# names that survive the reader.
+READABLE_PARITY_IDS = ("edge-values", "synth-31x48x114", "electrical")
+PARITY_IDS = (*READABLE_PARITY_IDS, "quoting")
 
 
 class TestParityWithRecordPath:
@@ -476,7 +499,7 @@ class TestParityWithRecordPath:
         reference_save_csv(ds, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
-    @pytest.mark.parametrize("name", PARITY_IDS)
+    @pytest.mark.parametrize("name", READABLE_PARITY_IDS)
     def test_load_dataset(self, tmp_path, parity_datasets, name):
         path = tmp_path / "data.csv"
         reference_save_csv(parity_datasets[name], path)
