@@ -5,7 +5,6 @@ from __future__ import annotations
 import io
 import time
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -171,7 +170,6 @@ class BenchResult:
     rse_percent: float
     wall_time_s: float
     iterations: int
-    config: Any = None
 
     def __post_init__(self):
         if not 0 <= self.missing_rate < 1:
@@ -221,7 +219,6 @@ def run_benchmark(
                 masked, method, cpd_cfg=cpd_cfg, halrtc_cfg=halrtc_cfg, prefill=prefill
             )
             score = rse(outcome.completed, ds.tensor, masked.mask, scope=scope)
-            config = {"cpd_lrtc": cpd_cfg, "halrtc": halrtc_cfg}.get(method)
             results.append(
                 BenchResult(
                     method=method,
@@ -229,7 +226,6 @@ def run_benchmark(
                     rse_percent=score,
                     wall_time_s=outcome.solve_time,
                     iterations=outcome.iterations,
-                    config=config,
                 )
             )
     return results

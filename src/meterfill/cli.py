@@ -1,4 +1,9 @@
-"""Command-line interface: complete, simulate, synth, bench, and eval subcommands."""
+"""Command-line interface: complete, simulate, synth, bench, and eval subcommands.
+
+Input files carry their layout in their channel names (see
+:func:`meterfill.data.infer_layout`); ``--layout`` only picks the generator
+of ``synth`` and of ``bench`` without ``--input``.
+"""
 
 from __future__ import annotations
 
@@ -13,8 +18,6 @@ import numpy as np
 from . import benchmark, data
 from .cpd_lrtc import NumericalError, SolverConfig
 from .halrtc import HalrtcConfig
-
-LAYOUT_CHOICES = ("auto",) + data.LAYOUTS
 
 
 def _parse_dims(text: str) -> tuple[int, int, int]:
@@ -96,9 +99,16 @@ def _solver_configs(args) -> tuple[SolverConfig, HalrtcConfig]:
     return build(SolverConfig), build(HalrtcConfig)
 
 
-def _load_input(args) -> data.TensorDataset:
-    layout = None if args.layout == "auto" else args.layout
-    return data.load_dataset(args.input, layout=layout, dims=args.dims)
+def _synthesize(args, rank: int, seed: int) -> data.TensorDataset:
+    """The fully observed dataset of the generator ``--layout`` names."""
+    if args.layout == data.LAYOUT_MULTI_MEASUREMENT:
+        if args.dims[2] != len(data.ELECTRICAL_CHANNELS):
+            raise ValueError(
+                f"{data.LAYOUT_MULTI_MEASUREMENT} synthesis needs I3={len(data.ELECTRICAL_CHANNELS)}"
+            )
+        return data.synth_electrical_tensor(args.dims[0], args.dims[1], seed)
+    spec = data.SynthSpec(dims=args.dims, rank=rank, noise=args.noise, periodic=args.periodic)
+    return data.synth_load_tensor(spec, seed).dataset
 
 
 def _report_payload(ds, outcome) -> dict:
@@ -122,20 +132,13 @@ def _report_payload(ds, outcome) -> dict:
 
 
 def cmd_complete(args) -> int:
-    ds = _load_input(args)
+    ds = data.load_dataset(args.input, args.dims)
     cpd_cfg, hal_cfg = _solver_configs(args)
     outcome = benchmark.complete_dataset(
         ds, args.method, cpd_cfg=cpd_cfg, halrtc_cfg=hal_cfg, prefill=args.prefill
     )
-    completed_ds = data.TensorDataset(
-        tensor=outcome.completed,
-        mask=np.ones(ds.dims, dtype=bool),
-        day_labels=ds.day_labels,
-        slot_labels=ds.slot_labels,
-        channel_labels=ds.channel_labels,
-        layout=ds.layout,
-    )
-    data.save_csv(completed_ds, args.output)
+    completed = dataclasses.replace(ds, tensor=outcome.completed, mask=np.ones_like(ds.mask))
+    data.save_csv(completed, args.output)
     payload = _report_payload(ds, outcome)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
@@ -153,7 +156,7 @@ def cmd_complete(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    ds = _load_input(args)
+    ds = data.load_dataset(args.input, args.dims)
     masked = data.simulate_missing(ds, args.rate, args.seed)
     truth_path = args.truth_output or f"{args.output}.truth.csv"
     data.save_csv(masked, args.output)
@@ -165,17 +168,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.layout == data.LAYOUT_MULTI_MEASUREMENT:
-        if args.dims[2] != len(data.ELECTRICAL_CHANNELS):
-            raise ValueError(
-                f"{data.LAYOUT_MULTI_MEASUREMENT} synthesis needs I3={len(data.ELECTRICAL_CHANNELS)}"
-            )
-        ds = data.synth_electrical_tensor(args.dims[0], args.dims[1], args.seed)
-    else:
-        spec = data.SynthSpec(
-            dims=args.dims, rank=args.rank, noise=args.noise, periodic=args.periodic
-        )
-        ds = data.synth_load_tensor(spec, args.seed).dataset
+    ds = _synthesize(args, args.rank, args.seed)
     data.save_csv(ds, args.output)
     print(f"wrote {ds.tensor.size} rows to {args.output}")
     return 0
@@ -183,19 +176,11 @@ def cmd_synth(args) -> int:
 
 def cmd_bench(args) -> int:
     if args.input:
-        ds = _load_input(args)
+        ds = data.load_dataset(args.input, args.dims)
+    elif args.dims is None:
+        raise ValueError("bench needs --input or --dims for synthetic data")
     else:
-        if args.dims is None:
-            raise ValueError("bench needs --input or --dims for synthetic data")
-        if args.layout == data.LAYOUT_MULTI_MEASUREMENT:
-            ds = data.synth_electrical_tensor(
-                args.dims[0], args.dims[1], data.derive_seed(args.seed, "synth")
-            )
-        else:
-            spec = data.SynthSpec(
-                dims=args.dims, rank=args.synth_rank, noise=args.noise, periodic=args.periodic
-            )
-            ds = data.synth_load_tensor(spec, data.derive_seed(args.seed, "synth")).dataset
+        ds = _synthesize(args, args.synth_rank, data.derive_seed(args.seed, "synth"))
     cpd_cfg, hal_cfg = _solver_configs(args)
     results = benchmark.run_benchmark(
         ds,
@@ -236,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--dims", type=_parse_dims, default=None)
-    p.add_argument("--layout", choices=LAYOUT_CHOICES, default="auto")
     p.add_argument("--method", choices=benchmark.METHODS, default="cpd_lrtc")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--prefill", action=argparse.BooleanOptionalAction, default=None,
@@ -251,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dims", type=_parse_dims, default=None)
-    p.add_argument("--layout", choices=LAYOUT_CHOICES, default="auto")
     p.add_argument("--truth-output", default=None)
     p.set_defaults(func=cmd_simulate)
 
@@ -269,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default=None)
     p.add_argument("--output", default=None, help="results CSV path")
     p.add_argument("--dims", type=_parse_dims, default=None)
-    p.add_argument("--layout", choices=LAYOUT_CHOICES, default="auto")
+    p.add_argument("--layout", choices=data.LAYOUTS, default=data.LAYOUT_MULTI_USER,
+                   help="generator of synthetic data (when no --input)")
     p.add_argument("--synth-rank", dest="synth_rank", type=int, default=3,
                    help="CP rank of generated data (when no --input)")
     p.add_argument("--noise", type=float, default=0.0)

@@ -148,10 +148,6 @@ class FactorSet:
                 raise ValueError(f"mode-{n + 1} matrices disagree on shape")
 
     @property
-    def rank(self) -> int:
-        return self.U[0].shape[1]
-
-    @property
     def dims(self) -> tuple[int, int, int]:
         return tuple(u.shape[0] for u in self.U)
 

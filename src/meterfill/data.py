@@ -3,13 +3,16 @@
 Builds the day x slot x channel tensor from long-format readings, serializes
 it to CSV, simulates random missing data, generates synthetic load tensors,
 and pre-fills single-user multi-measurement tensors through the power
-identity ``P = U * I * cos_phi``.
+identity ``P = U * I * cos_phi``. A dataset's layout follows from its
+channel names: exactly ``P``, ``U``, ``I``, ``cos_phi`` make it one user's
+measurements, any other names make it users.
 
 CSV format (UTF-8, header ``day,slot,channel,value``): one row per tensor
 position, ``day`` and ``slot`` 1-based integers, ``channel`` a string, and
-``value`` a decimal float or empty for a missing observation. Files are
-parsed into :class:`MeterColumns`, one array per field, where NaN marks an
-empty value field only (the text ``nan`` is rejected like ``inf``).
+``value`` a decimal float or empty for a missing observation. Labels are
+quoted by the ``csv`` module, also where they hold a bare carriage return.
+Files are parsed into :class:`MeterColumns`, one array per field, where NaN
+marks an empty value field only (the text ``nan`` is rejected like ``inf``).
 """
 
 from __future__ import annotations
@@ -73,9 +76,9 @@ class MeterColumns(NamedTuple):
 class TensorDataset:
     """A measurement tensor with its observation mask and axis labels.
 
-    ``tensor`` holds zeros at unobserved positions; ``layout`` tags whether
-    the channel axis carries users (single measurement each) or the four
-    electrical parameters of one user.
+    ``tensor`` holds zeros at unobserved positions. ``layout`` is
+    :func:`infer_layout` of the channel names; a layout given to the
+    constructor must agree with it.
     """
 
     tensor: np.ndarray
@@ -83,7 +86,7 @@ class TensorDataset:
     day_labels: tuple[int, ...]
     slot_labels: tuple[int, ...]
     channel_labels: tuple[str, ...]
-    layout: str
+    layout: str | None = None
 
     def __post_init__(self):
         t = as_tensor(self.tensor)
@@ -93,17 +96,15 @@ class TensorDataset:
         object.__setattr__(self, "day_labels", tuple(self.day_labels))
         object.__setattr__(self, "slot_labels", tuple(self.slot_labels))
         object.__setattr__(self, "channel_labels", tuple(str(c) for c in self.channel_labels))
-        if self.layout not in LAYOUTS:
-            raise ValueError(f"unknown layout {self.layout!r}")
+        layout = infer_layout(self.channel_labels)
+        if self.layout not in (None, layout):
+            raise ValueError(
+                f"channels {self.channel_labels} give layout {layout}, not {self.layout!r}"
+            )
+        object.__setattr__(self, "layout", layout)
         labels = (self.day_labels, self.slot_labels, self.channel_labels)
         if tuple(len(l) for l in labels) != t.shape:
             raise ValueError("axis label lengths must match tensor dims")
-        if self.layout == LAYOUT_MULTI_MEASUREMENT and set(self.channel_labels) != set(
-            ELECTRICAL_CHANNELS
-        ):
-            raise ValueError(
-                f"{LAYOUT_MULTI_MEASUREMENT} requires channels {ELECTRICAL_CHANNELS}"
-            )
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -125,16 +126,16 @@ def infer_layout(channel_labels) -> str:
     return LAYOUT_MULTI_USER
 
 
-def build_tensor(cols: MeterColumns, layout: str, dims=None) -> TensorDataset:
+def build_tensor(cols: MeterColumns, dims=None) -> TensorDataset:
     """Assemble a dataset from columns; absent and NaN positions become unobserved.
 
     Duplicate ``(day, slot, channel)`` keys, out-of-range indices and channel
-    codes, and infinite values are rejected. For the multi-measurement
-    layout, observed values must satisfy ``cos_phi`` in [-1, 1] and
+    codes, and infinite values are rejected. Channels that ``dims`` asks for
+    beyond the named ones are called ``channel_<k>``; padding the four
+    electrical channels is rejected. When the channels are the electrical
+    ones, observed values must satisfy ``cos_phi`` in [-1, 1] and
     nonnegative ``U`` and ``I``.
     """
-    if layout not in LAYOUTS:
-        raise ValueError(f"unknown layout {layout!r}")
     day, slot, chan, value, names = cols
     if dims is None:
         if not day.size:
@@ -145,6 +146,11 @@ def build_tensor(cols: MeterColumns, layout: str, dims=None) -> TensorDataset:
         raise ValueError(f"dims must be three positive integers, got {dims}")
     if len(names) > dims[2]:
         raise DataError(f"records name {len(names)} channels, dims allow {dims[2]}")
+    if len(names) < dims[2] and infer_layout(names) == LAYOUT_MULTI_MEASUREMENT:
+        raise DataError(
+            f"{LAYOUT_MULTI_MEASUREMENT} requires channels {ELECTRICAL_CHANNELS}, "
+            f"dims ask for {dims[2]}"
+        )
     channels = list(names) + [f"channel_{k + 1}" for k in range(len(names), dims[2])]
 
     def position(k):
@@ -179,9 +185,8 @@ def build_tensor(cols: MeterColumns, layout: str, dims=None) -> TensorDataset:
         day_labels=tuple(range(1, dims[0] + 1)),
         slot_labels=tuple(range(1, dims[1] + 1)),
         channel_labels=tuple(channels),
-        layout=layout,
     )
-    if layout == LAYOUT_MULTI_MEASUREMENT:
+    if ds.layout == LAYOUT_MULTI_MEASUREMENT:
         _check_electrical_ranges(ds)
     return ds
 
@@ -360,7 +365,6 @@ def synth_load_tensor(spec: SynthSpec, seed: int) -> SynthResult:
         day_labels=tuple(range(1, days + 1)),
         slot_labels=tuple(range(1, slots + 1)),
         channel_labels=tuple(f"user_{k + 1:03d}" for k in range(chans)),
-        layout=LAYOUT_MULTI_USER,
     )
     return SynthResult(dataset=ds, factors=(u_day, u_slot, u_chan), clean=clean)
 
@@ -398,7 +402,6 @@ def synth_electrical_tensor(days: int, slots: int, seed: int) -> TensorDataset:
         day_labels=tuple(range(1, days + 1)),
         slot_labels=tuple(range(1, slots + 1)),
         channel_labels=ELECTRICAL_CHANNELS,
-        layout=LAYOUT_MULTI_MEASUREMENT,
     )
 
 
@@ -455,13 +458,15 @@ def load_csv(path) -> MeterColumns:
 def _csv_fields(labels) -> list[str]:
     """Each label as ``csv.writer`` writes it inside a row, followed by its comma."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    # The writer quotes a field that holds a character of its line terminator,
+    # so "\r\n" quotes a bare carriage return as well as a newline.
+    writer = csv.writer(buf, lineterminator="\r\n")
     fields = []
     for label in labels:
         # A row of one empty field would be written as "", so pair each label
         # with an empty field and cut the line end.
         writer.writerow((label, ""))
-        fields.append(buf.getvalue()[:-1])
+        fields.append(buf.getvalue()[:-2])
         buf.seek(0)
         buf.truncate()
     return fields
@@ -485,12 +490,9 @@ def save_csv(ds: TensorDataset, path) -> None:
             fh.writelines([f"{head}{tail}{t}\n" for tail, t in zip(tails, text)])
 
 
-def load_dataset(path, layout: str | None = None, dims=None) -> TensorDataset:
-    """Load a CSV file into a dataset; layout defaults to channel-set inference."""
-    cols = load_csv(path)
-    if layout is None:
-        layout = infer_layout(cols.channels)
-    return build_tensor(cols, layout=layout, dims=dims)
+def load_dataset(path, dims=None) -> TensorDataset:
+    """Load a CSV file into a dataset; the layout follows from its channel names."""
+    return build_tensor(load_csv(path), dims)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import pytest
 
-from meterfill.data import LAYOUT_MULTI_USER, TensorDataset
+from meterfill.data import TensorDataset
 
 
-def make_dataset(tensor, mask=None, layout=LAYOUT_MULTI_USER, channels=None):
+def make_dataset(tensor, mask=None, channels=None):
     """Wrap arrays in a TensorDataset with default integer labels."""
     tensor = np.asarray(tensor, dtype=np.float64)
     if mask is None:
@@ -25,7 +25,6 @@ def make_dataset(tensor, mask=None, layout=LAYOUT_MULTI_USER, channels=None):
         day_labels=tuple(range(1, tensor.shape[0] + 1)),
         slot_labels=tuple(range(1, tensor.shape[1] + 1)),
         channel_labels=channels,
-        layout=layout,
     )
 
 

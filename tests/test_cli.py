@@ -68,6 +68,13 @@ class TestSolverFlags:
         assert (cpd.rank, cpd.lam, cpd.seed) == (4, 2.0, 9)
         assert not {"rank", "lam", "seed"} & set(vars(hal))
 
+    @pytest.mark.parametrize("command,extra", [("complete", []), ("simulate", ["--rate", "0.1"])])
+    def test_no_layout_flag_on_file_input(self, command, extra):
+        argv = [command, "--input", "in.csv", "--output", "out.csv", *extra]
+        build_parser().parse_args(argv)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*argv, "--layout", "multi_user_single_measurement"])
+
     def test_flags_not_given_keep_defaults(self):
         args = build_parser().parse_args(["complete", "--input", "in.csv", "--output", "out.csv"])
         cpd, hal = _solver_configs(args)
@@ -261,6 +268,13 @@ class TestBench:
         out = tmp_path / "r.csv"
         assert run_cli("bench", "--dims", "8x12x5", "--rates", "0.0,0.5",
                        "--output", out) == 1
+        assert not out.exists()
+
+    def test_electrical_layout_needs_four_channels(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert run_cli("bench", "--dims", "3x8x7", "--layout", "single_user_multi_measurement",
+                       "--rates", "0.2", "--methods", "mean", "--output", out) == 1
+        assert "needs I3=4" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_method_rejected(self, tmp_path, capsys):

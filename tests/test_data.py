@@ -1,6 +1,7 @@
 """Dataset construction, CSV round-trips, masking, pre-fill, and generators."""
 
 import csv
+import io
 import math
 import time
 from dataclasses import dataclass, replace
@@ -47,9 +48,7 @@ def electrical_dataset(grid):
             c = ELECTRICAL_CHANNELS.index(chan)
             tensor[d - 1, s - 1, c] = val
             mask[d - 1, s - 1, c] = True
-    return make_dataset(
-        tensor, mask, layout=LAYOUT_MULTI_MEASUREMENT, channels=ELECTRICAL_CHANNELS
-    )
+    return make_dataset(tensor, mask, channels=ELECTRICAL_CHANNELS)
 
 
 def columns(*rows):
@@ -67,58 +66,58 @@ def columns(*rows):
 
 class TestBuildTensor:
     def test_empty_records_with_dims(self):
-        ds = build_tensor(columns(), LAYOUT_MULTI_USER, dims=(2, 2, 2))
+        ds = build_tensor(columns(), dims=(2, 2, 2))
         assert not ds.mask.any()
         assert np.array_equal(ds.tensor, np.zeros((2, 2, 2)))
 
     def test_empty_records_without_dims(self):
         with pytest.raises(DataError, match="cannot infer dims"):
-            build_tensor(columns(), LAYOUT_MULTI_USER)
+            build_tensor(columns())
 
     def test_full_grid(self):
         cols = columns(
             *((d, s, f"u{c}", float(d * s * c)) for d in (1, 2) for s in (1, 2, 3) for c in (1, 2))
         )
-        ds = build_tensor(cols, LAYOUT_MULTI_USER)
+        ds = build_tensor(cols)
         assert ds.dims == (2, 3, 2)
         assert ds.mask.all()
         assert ds.tensor[1, 2, 0] == 6.0
 
     def test_none_value_marks_missing(self):
         cols = columns((1, 1, "a", 2.0), (1, 2, "a", None))
-        ds = build_tensor(cols, LAYOUT_MULTI_USER, dims=(1, 2, 1))
+        ds = build_tensor(cols, dims=(1, 2, 1))
         assert ds.mask[0, 0, 0] and not ds.mask[0, 1, 0]
 
     def test_duplicate_key_rejected(self):
         cols = columns((1, 1, "a", 1.0), (1, 1, "a", 2.0))
         with pytest.raises(DataError, match="duplicate record for day=1, slot=1"):
-            build_tensor(cols, LAYOUT_MULTI_USER, dims=(2, 2, 1))
+            build_tensor(cols, dims=(2, 2, 1))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(DataError, match="outside dims"):
-            build_tensor(columns((3, 1, "a", 1.0)), LAYOUT_MULTI_USER, dims=(2, 2, 1))
+            build_tensor(columns((3, 1, "a", 1.0)), dims=(2, 2, 1))
 
     @pytest.mark.parametrize("code", [-1, 1])
     def test_channel_code_out_of_range_rejected(self, code):
         cols = columns((1, 1, "a", 1.0))._replace(channel=np.array([code]))
         with pytest.raises(DataError, match=f"channel code {code}, but 1 channels"):
-            build_tensor(cols, LAYOUT_MULTI_USER, dims=(2, 2, 2))
+            build_tensor(cols, dims=(2, 2, 2))
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf])
     def test_infinite_value_rejected(self, bad):
         cols = columns((1, 1, "a", 1.0), (1, 2, "a", bad))
         with pytest.raises(DataError, match="non-finite value for day=1, slot=2, channel='a'"):
-            build_tensor(cols, LAYOUT_MULTI_USER)
+            build_tensor(cols)
 
     def test_too_many_channels_for_dims(self):
         cols = columns((1, 1, "a", 1.0), (1, 1, "b", 1.0))
         with pytest.raises(DataError, match="records name 2 channels, dims allow 1"):
-            build_tensor(cols, LAYOUT_MULTI_USER, dims=(1, 1, 1))
+            build_tensor(cols, dims=(1, 1, 1))
 
     def test_electrical_value_ranges(self):
         cols = columns(*((1, 1, c, 1.0) for c in ("P", "U", "I")), (1, 1, "cos_phi", 1.5))
         with pytest.raises(DataError, match="cos_phi"):
-            build_tensor(cols, LAYOUT_MULTI_MEASUREMENT, dims=(1, 1, 4))
+            build_tensor(cols, dims=(1, 1, 4))
 
     def test_large_grid_builds_quickly(self):
         dims = (31, 48, 114)
@@ -129,10 +128,37 @@ class TestBuildTensor:
             )
         )
         start = time.perf_counter()
-        ds = build_tensor(cols, LAYOUT_MULTI_USER, dims)
+        ds = build_tensor(cols, dims)
         elapsed = time.perf_counter() - start
         assert ds.mask.all()
         assert elapsed < 1.0
+
+
+class TestLayout:
+    @pytest.mark.parametrize(
+        "channels,layout",
+        [
+            (ELECTRICAL_CHANNELS, LAYOUT_MULTI_USER),
+            (("a", "b", "c", "d"), LAYOUT_MULTI_MEASUREMENT),
+            (("a", "b", "c", "d"), "bogus"),
+        ],
+    )
+    def test_given_layout_must_follow_from_channels(self, channels, layout):
+        with pytest.raises(ValueError, match="give layout"):
+            TensorDataset(
+                tensor=np.ones((1, 1, 4)),
+                mask=np.ones((1, 1, 4), dtype=bool),
+                day_labels=(1,),
+                slot_labels=(1,),
+                channel_labels=channels,
+                layout=layout,
+            )
+
+    def test_padding_electrical_channels_rejected(self, tmp_path):
+        path = tmp_path / "case2.csv"
+        save_csv(synth_electrical_tensor(2, 3, seed=1), path)
+        with pytest.raises(ValueError, match="requires channels"):
+            load_dataset(path, dims=(2, 3, 5))
 
 
 class TestSimulateMissing:
@@ -375,6 +401,14 @@ class TestCsv:
         loaded = load_dataset(path)
         assert loaded.layout == LAYOUT_MULTI_MEASUREMENT
 
+    def test_carriage_return_in_label_round_trips(self, tmp_path, rng):
+        ds = make_dataset(rng.standard_normal((2, 3, 2)), channels=("a\rb", "c"))
+        path = tmp_path / "data.csv"
+        save_csv(ds, path)
+        loaded = load_dataset(path)
+        assert loaded.channel_labels == ds.channel_labels
+        assert np.array_equal(loaded.tensor, ds.tensor)
+
     def test_infer_layout(self):
         assert infer_layout(("P", "U", "I", "cos_phi")) == LAYOUT_MULTI_MEASUREMENT
         assert infer_layout(("u1", "u2")) == LAYOUT_MULTI_USER
@@ -389,15 +423,27 @@ class _Record:
 
 
 def reference_save_csv(ds, path):
-    """The triple-loop writer that the columnar save_csv replaced."""
+    """The triple-loop writer that the columnar save_csv replaced.
+
+    Each row goes through a writer that ends lines with "\r\n", so that a
+    bare carriage return is quoted like a newline, and then ends with "\n".
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
+
+        def writerow(fields):
+            buf.seek(0)
+            buf.truncate()
+            writer.writerow(fields)
+            fh.write(buf.getvalue()[:-2] + "\n")
+
+        writerow(CSV_HEADER)
         for di, day in enumerate(ds.day_labels):
             for si, slot in enumerate(ds.slot_labels):
                 for ci, chan in enumerate(ds.channel_labels):
                     value = repr(float(ds.tensor[di, si, ci])) if ds.mask[di, si, ci] else ""
-                    writer.writerow((day, slot, chan, value))
+                    writerow((day, slot, chan, value))
 
 
 def reference_load_dataset(path):
@@ -458,8 +504,7 @@ def _edge_values_dataset():
 def _quoting_dataset():
     """String day and slot labels and channel names the csv module must quote.
 
-    Only written, never read back: the days and slots are not integers, and a
-    bare carriage return is written unquoted.
+    Only written, never read back: the days and slots are not integers.
     """
     mask = np.ones((2, 3, 5), dtype=bool)
     mask.flat[[1, 7, 29]] = False
