@@ -113,42 +113,36 @@ def complete_dataset(
     """Run one method over a masked dataset, handling pre-fill and scaling.
 
     Multi-measurement datasets are pre-filled through the power identity
-    (unless ``prefill=False``) and standardized per channel before solving;
-    the output is mapped back to original units with the input's observed
-    entries re-imposed exactly. ``solve_time`` covers only the solver call.
+    (unless ``prefill=False``; ``prefill=True`` on another layout raises
+    ``ValueError``) and standardized per channel before solving; the output
+    is mapped back to original units with the input's observed entries
+    re-imposed exactly. ``solve_time`` covers only the solver call.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     multi = ds.layout == LAYOUT_MULTI_MEASUREMENT
-    do_prefill = prefill if prefill is not None else multi
-    if do_prefill and not multi:
-        raise ValueError("pre-fill requires the single-user multi-measurement layout")
-
-    work = ds
-    pre = None
-    if do_prefill:
-        pre = prefill_electrical(work)
-        work = pre.dataset
+    if prefill is None:
+        prefill = multi
+    pre = prefill_electrical(ds) if prefill else None
+    work = ds if pre is None else pre.dataset
+    standardized = multi and method in ("cpd_lrtc", "halrtc")
+    if standardized:
+        work, means, stds = standardize_channels(work)
 
     report = None
-    if method in ("cpd_lrtc", "halrtc"):
-        means = stds = None
-        solver_input = work
-        if multi:
-            solver_input, means, stds = standardize_channels(work)
-        if method == "cpd_lrtc":
-            report = cpd_lrtc.complete(solver_input.tensor, solver_input.mask, cpd_cfg)
-        else:
-            report = halrtc.complete_halrtc(solver_input.tensor, solver_input.mask, halrtc_cfg)
-        completed = report.completed
-        if multi:
-            completed = destandardize_channels(completed, means, stds)
-        solve_time = report.wall_time
+    if method == "cpd_lrtc":
+        report = cpd_lrtc.complete(work.tensor, work.mask, cpd_cfg)
+    elif method == "halrtc":
+        report = halrtc.complete_halrtc(work.tensor, work.mask, halrtc_cfg)
+    if report is not None:
+        completed, solve_time = report.completed, report.wall_time
     else:
         fill = baseline_mean_fill if method == "mean" else baseline_linear_interp
         start = time.perf_counter()
         completed = fill(work)
         solve_time = time.perf_counter() - start
+    if standardized:
+        completed = destandardize_channels(completed, means, stds)
 
     completed = np.where(ds.mask, ds.tensor, completed)
     return CompletionOutcome(
@@ -157,7 +151,7 @@ def complete_dataset(
         report=report,
         prefill=pre,
         solve_time=solve_time,
-        standardized=multi and method in ("cpd_lrtc", "halrtc"),
+        standardized=standardized,
     )
 
 

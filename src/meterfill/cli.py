@@ -1,8 +1,8 @@
 """Command-line interface: complete, simulate, synth, bench, and eval subcommands.
 
 Input files carry their layout in their channel names (see
-:func:`meterfill.data.infer_layout`); ``--layout`` only picks the generator
-of ``synth`` and of ``bench`` without ``--input``.
+:func:`meterfill.data.infer_layout`); ``--layout`` and the generator flags
+only shape the data of ``synth`` and of ``bench`` without ``--input``.
 """
 
 from __future__ import annotations
@@ -99,15 +99,22 @@ def _solver_configs(args) -> tuple[SolverConfig, HalrtcConfig]:
     return build(SolverConfig), build(HalrtcConfig)
 
 
-def _synthesize(args, rank: int, seed: int) -> data.TensorDataset:
-    """The fully observed dataset of the generator ``--layout`` names."""
+def _generator_flags(args, rank_flag: str, rank) -> dict:
+    """The :class:`SynthSpec` fields given on the command line, as ``flag: (field, value)``."""
+    flags = ((rank_flag, "rank", rank), ("--noise", "noise", args.noise),
+             ("--periodic/--no-periodic", "periodic", args.periodic))
+    return {flag: (field, value) for flag, field, value in flags if value is not None}
+
+
+def _synthesize(args, generator: dict, seed: int) -> data.TensorDataset:
+    """The ``--layout`` generator's dataset; fields not in ``generator`` keep SynthSpec's defaults."""
     if args.layout == data.LAYOUT_MULTI_MEASUREMENT:
+        if generator:
+            raise ValueError(f"{', '.join(generator)} do not apply to --layout {args.layout}")
         if args.dims[2] != len(data.ELECTRICAL_CHANNELS):
-            raise ValueError(
-                f"{data.LAYOUT_MULTI_MEASUREMENT} synthesis needs I3={len(data.ELECTRICAL_CHANNELS)}"
-            )
+            raise ValueError(f"--layout {args.layout} needs I3={len(data.ELECTRICAL_CHANNELS)}")
         return data.synth_electrical_tensor(args.dims[0], args.dims[1], seed)
-    spec = data.SynthSpec(dims=args.dims, rank=rank, noise=args.noise, periodic=args.periodic)
+    spec = data.SynthSpec(dims=args.dims, **dict(generator.values()))
     return data.synth_load_tensor(spec, seed).dataset
 
 
@@ -168,19 +175,23 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    ds = _synthesize(args, args.rank, args.seed)
+    ds = _synthesize(args, _generator_flags(args, "--rank", args.rank), args.seed)
     data.save_csv(ds, args.output)
     print(f"wrote {ds.tensor.size} rows to {args.output}")
     return 0
 
 
 def cmd_bench(args) -> int:
+    generator = _generator_flags(args, "--synth-rank", args.synth_rank)
     if args.input:
+        given = (["--layout"] if args.layout is not None else []) + list(generator)
+        if given:
+            raise ValueError(f"{', '.join(given)} only shape synthetic data, not --input")
         ds = data.load_dataset(args.input, args.dims)
     elif args.dims is None:
         raise ValueError("bench needs --input or --dims for synthetic data")
     else:
-        ds = _synthesize(args, args.synth_rank, data.derive_seed(args.seed, "synth"))
+        ds = _synthesize(args, generator, data.derive_seed(args.seed, "synth"))
     cpd_cfg, hal_cfg = _solver_configs(args)
     results = benchmark.run_benchmark(
         ds,
@@ -201,6 +212,8 @@ def cmd_bench(args) -> int:
 
 def cmd_eval(args) -> int:
     completed = data.load_dataset(args.input, dims=args.dims)
+    if not completed.fully_observed:
+        raise ValueError(f"{args.input} is not completed: {(~completed.mask).sum()} values missing")
     truth = data.load_dataset(args.truth, dims=args.dims)
     masked = data.load_dataset(args.masked, dims=args.dims)
     if completed.dims != truth.dims or completed.dims != masked.dims:
@@ -241,10 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic measurement tensor CSV")
     p.add_argument("--output", required=True)
     p.add_argument("--dims", type=_parse_dims, required=True)
-    p.add_argument("--rank", type=int, default=3)
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--periodic", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--layout", choices=data.LAYOUTS, default=data.LAYOUT_MULTI_USER)
+    p.add_argument("--rank", type=int, default=None)
+    p.add_argument("--noise", type=float, default=None)
+    p.add_argument("--periodic", action=argparse.BooleanOptionalAction, default=None)
+    p.add_argument("--layout", choices=data.LAYOUTS, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth)
 
@@ -252,12 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default=None)
     p.add_argument("--output", default=None, help="results CSV path")
     p.add_argument("--dims", type=_parse_dims, default=None)
-    p.add_argument("--layout", choices=data.LAYOUTS, default=data.LAYOUT_MULTI_USER,
+    p.add_argument("--layout", choices=data.LAYOUTS, default=None,
                    help="generator of synthetic data (when no --input)")
-    p.add_argument("--synth-rank", dest="synth_rank", type=int, default=3,
+    p.add_argument("--synth-rank", dest="synth_rank", type=int, default=None,
                    help="CP rank of generated data (when no --input)")
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--periodic", action=argparse.BooleanOptionalAction, default=True)
+    p.add_argument("--noise", type=float, default=None)
+    p.add_argument("--periodic", action=argparse.BooleanOptionalAction, default=None)
     p.add_argument("--rates", type=_parse_rates, default=_parse_rates("0.1..0.9"))
     p.add_argument("--methods", type=_parse_methods, default=["cpd_lrtc", "halrtc"])
     p.add_argument("--seed", type=int, default=0)

@@ -7,12 +7,13 @@ identity ``P = U * I * cos_phi``. A dataset's layout follows from its
 channel names: exactly ``P``, ``U``, ``I``, ``cos_phi`` make it one user's
 measurements, any other names make it users.
 
-CSV format (UTF-8, header ``day,slot,channel,value``): one row per tensor
-position, ``day`` and ``slot`` 1-based integers, ``channel`` a string, and
-``value`` a decimal float or empty for a missing observation. Labels are
-quoted by the ``csv`` module, also where they hold a bare carriage return.
-Files are parsed into :class:`MeterColumns`, one array per field, where NaN
-marks an empty value field only (the text ``nan`` is rejected like ``inf``).
+CSV format (UTF-8, a leading byte-order mark accepted, header
+``day,slot,channel,value``): one row per tensor position, ``day`` and
+``slot`` 1-based integers, ``channel`` a string, and ``value`` a decimal
+float or empty for a missing observation. Labels are quoted by the ``csv``
+module, also where they hold a bare carriage return. Files are parsed into
+:class:`MeterColumns`, one array per field, where NaN marks an empty value
+field only (the text ``nan`` is rejected like ``inf``).
 """
 
 from __future__ import annotations
@@ -231,51 +232,40 @@ def prefill_electrical(ds: TensorDataset) -> PrefillResult:
     """Restore single missing channels from ``P = U * I * cos_phi``.
 
     Only (day, slot) cells with exactly one of the four channels missing are
-    touched; the missing value is solved from the other three and marked
-    observed. Divisions by magnitudes below ``DIVISOR_GUARD`` are skipped,
-    as are cos_phi results beyond ``1 + COS_PHI_SLACK`` (results within the
-    slack are clamped to [-1, 1]). Applying the operation twice equals
-    applying it once.
+    touched. With that channel set to 1, the product ``U * I * cos_phi`` is
+    the missing value where ``P`` is missing and the divisor of ``P`` where
+    any other channel is missing; the value found is marked observed.
+    Divisors below ``DIVISOR_GUARD`` in magnitude are skipped, as are
+    cos_phi results beyond ``1 + COS_PHI_SLACK`` (results within the slack
+    are clamped to [-1, 1]). Applying the operation twice equals applying
+    it once.
     """
     if ds.layout != LAYOUT_MULTI_MEASUREMENT:
-        raise ValueError("prefill_electrical requires the single-user multi-measurement layout")
+        raise ValueError("pre-fill requires the single-user multi-measurement layout")
     tensor = ds.tensor.copy()
     mask = ds.mask.copy()
-    ix = {name: ds.channel_labels.index(name) for name in ELECTRICAL_CHANNELS}
-    p, u, i, c = (tensor[:, :, ix[n]] for n in ELECTRICAL_CHANNELS)
-    mp, mu_, mi, mc = (mask[:, :, ix[n]] for n in ELECTRICAL_CHANNELS)
-
-    single = (mp.astype(int) + mu_.astype(int) + mi.astype(int) + mc.astype(int)) == 3
+    ix = [ds.channel_labels.index(name) for name in ELECTRICAL_CHANNELS]
+    single = mask[:, :, ix].sum(axis=2) == 3
+    p, u, i, c = (np.where(mask[:, :, k], tensor[:, :, k], 1.0) for k in ix)
+    product = u * i * c
     filled = skipped_div = skipped_inc = 0
-
-    sel = single & ~mp
-    p[sel] = u[sel] * i[sel] * c[sel]
-    mp[sel] = True
-    filled += int(sel.sum())
-
-    for target, t_mask, num, d1, d2 in ((u, mu_, p, i, c), (i, mi, p, u, c)):
-        sel = single & ~t_mask
-        den = d1 * d2
-        ok = sel & (np.abs(den) >= DIVISOR_GUARD)
-        target[ok] = num[ok] / den[ok]
-        t_mask[ok] = True
+    for name, k in zip(ELECTRICAL_CHANNELS, ix):
+        sel = single & ~mask[:, :, k]
+        if name == "P":
+            ok, value = sel, product
+        else:
+            ok = sel & (np.abs(product) >= DIVISOR_GUARD)
+            skipped_div += int((sel & ~ok).sum())
+            value = np.divide(p, product, out=np.zeros_like(p), where=ok)
+        if name == "cos_phi":
+            within = np.abs(value) <= 1.0 + COS_PHI_SLACK
+            skipped_inc += int((ok & ~within).sum())
+            ok &= within
+            value = np.clip(value, -1.0, 1.0)
+        tensor[:, :, k][ok] = value[ok]
+        mask[:, :, k][ok] = True
         filled += int(ok.sum())
-        skipped_div += int((sel & ~ok).sum())
-
-    sel = single & ~mc
-    den = u * i
-    ok = sel & (np.abs(den) >= DIVISOR_GUARD)
-    val = np.zeros_like(c)
-    val[ok] = p[ok] / den[ok]
-    within = ok & (np.abs(val) <= 1.0 + COS_PHI_SLACK)
-    c[within] = np.clip(val[within], -1.0, 1.0)
-    mc[within] = True
-    filled += int(within.sum())
-    skipped_div += int((sel & ~ok).sum())
-    skipped_inc += int((ok & ~within).sum())
-
-    out = replace(ds, tensor=tensor, mask=mask)
-    return PrefillResult(out, filled, skipped_div, skipped_inc)
+    return PrefillResult(replace(ds, tensor=tensor, mask=mask), filled, skipped_div, skipped_inc)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +403,7 @@ def load_csv(path) -> MeterColumns:
     """Read long-format rows into columns; empty value fields mark missing positions."""
     days, slots, codes, values = [], [], [], []
     names: dict[str, int] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(h.strip() for h in header) != CSV_HEADER:

@@ -107,6 +107,24 @@ class TestSynth:
                        "--layout", "single_user_multi_measurement") == 0
         assert load_dataset(path).layout == "single_user_multi_measurement"
 
+    @pytest.mark.parametrize(
+        "flags", [["--rank", "7"], ["--noise", "0.5"], ["--no-periodic"], ["--periodic"]]
+    )
+    def test_electrical_generator_refuses_generator_flags(self, tmp_path, capsys, flags):
+        path = tmp_path / "e.csv"
+        assert run_cli("synth", "--output", path, "--dims", "3x8x4",
+                       "--layout", "single_user_multi_measurement", *flags) == 1
+        assert flags[0].replace("no-", "") in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_multi_user_defaults(self, tmp_path):
+        plain, explicit = tmp_path / "plain.csv", tmp_path / "explicit.csv"
+        assert run_cli("synth", "--output", plain, "--dims", "4x8x3", "--seed", "2") == 0
+        assert run_cli("synth", "--output", explicit, "--dims", "4x8x3", "--seed", "2",
+                       "--rank", "3", "--noise", "0", "--periodic",
+                       "--layout", "multi_user_single_measurement") == 0
+        assert plain.read_bytes() == explicit.read_bytes()
+
 
 class TestSimulate:
     def test_rate_zero_identical_file(self, tmp_path, full_csv):
@@ -236,6 +254,15 @@ class TestEval:
         masked_ds = load_dataset(masked)
         assert reported == rse(completed.tensor, truth.tensor, masked_ds.mask, scope="all")
 
+    def test_masked_input_refused(self, tmp_path, full_csv, capsys):
+        masked = tmp_path / "masked.csv"
+        run_cli("simulate", "--input", full_csv, "--output", masked, "--rate", "0.3", "--seed", "2")
+        capsys.readouterr()
+        assert run_cli("eval", "--input", masked, "--truth", full_csv, "--masked", masked) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"{round(0.3 * 8 * 12 * 5)} values missing" in out.err
+
 
 class TestBench:
     def test_rows_and_determinism(self, tmp_path):
@@ -275,6 +302,25 @@ class TestBench:
         assert run_cli("bench", "--dims", "3x8x7", "--layout", "single_user_multi_measurement",
                        "--rates", "0.2", "--methods", "mean", "--output", out) == 1
         assert "needs I3=4" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--synth-rank", "9"], ["--noise", "3"], ["--periodic"]])
+    def test_electrical_generator_refuses_generator_flags(self, tmp_path, capsys, flags):
+        out = tmp_path / "r.csv"
+        assert run_cli("bench", "--dims", "3x8x4", "--layout", "single_user_multi_measurement",
+                       "--rates", "0.2", "--methods", "mean", "--output", out, *flags) == 1
+        assert flags[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--layout", "single_user_multi_measurement"], ["--layout", "multi_user_single_measurement"],
+        ["--synth-rank", "9"], ["--noise", "3"], ["--no-periodic"],
+    ])
+    def test_input_refuses_generator_flags(self, tmp_path, capsys, full_csv, flags):
+        out = tmp_path / "r.csv"
+        assert run_cli("bench", "--input", full_csv, "--rates", "0.2", "--methods", "mean",
+                       "--output", out, *flags) == 1
+        assert flags[0].replace("no-", "") in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_method_rejected(self, tmp_path, capsys):

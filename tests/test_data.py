@@ -13,12 +13,15 @@ from hypothesis import strategies as st
 
 from conftest import make_dataset
 from meterfill.data import (
+    COS_PHI_SLACK,
     CSV_HEADER,
+    DIVISOR_GUARD,
     ELECTRICAL_CHANNELS,
     LAYOUT_MULTI_MEASUREMENT,
     LAYOUT_MULTI_USER,
     DataError,
     MeterColumns,
+    PrefillResult,
     SynthSpec,
     TensorDataset,
     build_tensor,
@@ -275,6 +278,94 @@ class TestPrefill:
             prefill_electrical(ds)
 
 
+def reference_prefill_electrical(ds):
+    """The pre-fill as three blocks, P, then U and I, then cos_phi: the oracle
+    for :func:`prefill_electrical`, which states the power identity once."""
+    if ds.layout != LAYOUT_MULTI_MEASUREMENT:
+        raise ValueError("prefill_electrical requires the single-user multi-measurement layout")
+    tensor = ds.tensor.copy()
+    mask = ds.mask.copy()
+    ix = {name: ds.channel_labels.index(name) for name in ELECTRICAL_CHANNELS}
+    p, u, i, c = (tensor[:, :, ix[n]] for n in ELECTRICAL_CHANNELS)
+    mp, mu_, mi, mc = (mask[:, :, ix[n]] for n in ELECTRICAL_CHANNELS)
+
+    single = (mp.astype(int) + mu_.astype(int) + mi.astype(int) + mc.astype(int)) == 3
+    filled = skipped_div = skipped_inc = 0
+
+    sel = single & ~mp
+    p[sel] = u[sel] * i[sel] * c[sel]
+    mp[sel] = True
+    filled += int(sel.sum())
+
+    for target, t_mask, num, d1, d2 in ((u, mu_, p, i, c), (i, mi, p, u, c)):
+        sel = single & ~t_mask
+        den = d1 * d2
+        ok = sel & (np.abs(den) >= DIVISOR_GUARD)
+        target[ok] = num[ok] / den[ok]
+        t_mask[ok] = True
+        filled += int(ok.sum())
+        skipped_div += int((sel & ~ok).sum())
+
+    sel = single & ~mc
+    den = u * i
+    ok = sel & (np.abs(den) >= DIVISOR_GUARD)
+    val = np.zeros_like(c)
+    val[ok] = p[ok] / den[ok]
+    within = ok & (np.abs(val) <= 1.0 + COS_PHI_SLACK)
+    c[within] = np.clip(val[within], -1.0, 1.0)
+    mc[within] = True
+    filled += int(within.sum())
+    skipped_div += int((sel & ~ok).sum())
+    skipped_inc += int((ok & ~within).sum())
+
+    out = replace(ds, tensor=tensor, mask=mask)
+    return PrefillResult(out, filled, skipped_div, skipped_inc)
+
+
+def guarded_electrical_instance(seed, rate):
+    """A 7x24 electrical dataset at ``rate`` missing whose cos_phi hits every guard.
+
+    On 5% of cells each, cos_phi is scaled by 1e-9 (a small divisor for U and
+    I), set to 1.3 (inconsistent when restored) or set to +-(1 + 5e-7)
+    (clamped when restored); P keeps the identity. Odd seeds store the
+    channels in another order.
+    """
+    ds = synth_electrical_tensor(7, 24, seed)
+    rng = np.random.default_rng(seed)
+    _, u, i, c = np.moveaxis(ds.tensor, 2, 0)
+    kind = rng.integers(20, size=c.shape)
+    c = np.where(kind == 0, c * 1e-9, c)
+    c = np.where(kind == 1, 1.3, c)
+    c = np.where(kind == 2, rng.choice([-1.0, 1.0], size=c.shape) * (1 + 5e-7), c)
+    order = [3, 0, 2, 1] if seed % 2 else [0, 1, 2, 3]
+    tensor = np.stack([u * i * c, u, i, c], axis=2)[:, :, order]
+    full = make_dataset(tensor, channels=[ELECTRICAL_CHANNELS[k] for k in order])
+    return simulate_missing(full, rate, seed)
+
+
+class TestPrefillOracle:
+    def test_matches_three_block_reference(self):
+        """Bit-identical tensor, mask and counts on 60 instances; every guard is hit."""
+        totals = np.zeros(3, dtype=int)
+        clamped = 0
+        for seed in range(12):
+            for rate in (0.05, 0.15, 0.3, 0.45, 0.6):
+                ds = guarded_electrical_instance(seed, rate)
+                got, want = prefill_electrical(ds), reference_prefill_electrical(ds)
+                assert np.array_equal(got.dataset.tensor, want.dataset.tensor)
+                assert np.array_equal(got.dataset.mask, want.dataset.mask)
+                counts = (got.filled, got.skipped_small_divisor, got.skipped_inconsistent)
+                assert counts == (
+                    want.filled, want.skipped_small_divisor, want.skipped_inconsistent
+                )
+                totals += counts
+                k = ds.channel_labels.index("cos_phi")
+                restored = got.dataset.mask[:, :, k] & ~ds.mask[:, :, k]
+                clamped += int((np.abs(got.dataset.tensor[:, :, k][restored]) == 1.0).sum())
+        assert totals.min() > 0
+        assert clamped > 0
+
+
 class TestSynth:
     def test_rank_one_unfoldings(self):
         sr = synth_load_tensor(SynthSpec(dims=(8, 12, 6), rank=1), seed=0)
@@ -375,6 +466,17 @@ class TestCsv:
             assert col.dtype == np.int64 and col.tolist() == want
         assert cols.value.dtype == np.float64
         assert np.array_equal(cols.value, [1.5, np.nan, -2.0], equal_nan=True)
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        text = "day,slot,channel,value\n2,1,b,1.5\n1,3, a ,\n1,1,b,-2\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        want, got = load_csv(plain), load_csv(marked)
+        assert got.channels == want.channels
+        for a, b in zip(got[:4], want[:4]):
+            assert np.array_equal(a, b, equal_nan=True)
 
     def test_huge_day_rejected(self, tmp_path):
         path = tmp_path / "data.csv"
