@@ -1,8 +1,8 @@
 """Command-line interface: complete, simulate, synth, bench, and eval subcommands.
 
-Input files carry their layout in their channel names (see
-:func:`meterfill.data.infer_layout`); ``--layout`` and the generator flags
-only shape the data of ``synth`` and of ``bench`` without ``--input``.
+Input files define their own grid and layout (see :func:`meterfill.data.build_tensor`);
+``--dims``, ``--layout`` and the generator flags only shape the data of ``synth`` and of
+``bench`` without ``--input``. A solver flag only sets a field of the chosen methods' configs.
 """
 
 from __future__ import annotations
@@ -89,14 +89,20 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iters", type=int, default=None, help="iteration cap")
 
 
-def _solver_configs(args) -> tuple[SolverConfig, HalrtcConfig]:
-    """Each config from the flags named like its fields; flags not given keep its defaults."""
-
-    def build(cls):
-        given = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(cls)}
-        return cls(**{name: val for name, val in given.items() if val is not None})
-
-    return build(SolverConfig), build(HalrtcConfig)
+def _solver_configs(args, methods, own=()) -> tuple[SolverConfig | None, HalrtcConfig | None]:
+    """The configs of the solvers among ``methods`` (None for one not in use), each from the
+    flags named like its fields; refuses a given flag that none of them reads, bar ``own``."""
+    solvers = [cls if name in methods else None
+               for name, cls in (("cpd_lrtc", SolverConfig), ("halrtc", HalrtcConfig))]
+    read = {f.name for cls in solvers if cls for f in dataclasses.fields(cls)} | set(own)
+    given = {f.name: getattr(args, f.name) for cls in (SolverConfig, HalrtcConfig)
+             for f in dataclasses.fields(cls) if getattr(args, f.name) is not None}
+    unread = ["--lambda" if n == "lam" else "--" + n.replace("_", "-") for n in given if n not in read]
+    if unread:
+        option = "--method" if len(methods) == 1 else "--methods"
+        raise ValueError(f"{', '.join(unread)} do not apply to {option} {','.join(methods)}")
+    return tuple(cls(**{f.name: given[f.name] for f in dataclasses.fields(cls) if f.name in given})
+                 if cls else None for cls in solvers)
 
 
 def _generator_flags(args, rank_flag: str, rank) -> dict:
@@ -139,8 +145,8 @@ def _report_payload(ds, outcome) -> dict:
 
 
 def cmd_complete(args) -> int:
-    ds = data.load_dataset(args.input, args.dims)
-    cpd_cfg, hal_cfg = _solver_configs(args)
+    cpd_cfg, hal_cfg = _solver_configs(args, [args.method])
+    ds = data.load_dataset(args.input)
     outcome = benchmark.complete_dataset(
         ds, args.method, cpd_cfg=cpd_cfg, halrtc_cfg=hal_cfg, prefill=args.prefill
     )
@@ -163,7 +169,7 @@ def cmd_complete(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    ds = data.load_dataset(args.input, args.dims)
+    ds = data.load_dataset(args.input)
     masked = data.simulate_missing(ds, args.rate, args.seed)
     truth_path = args.truth_output or f"{args.output}.truth.csv"
     data.save_csv(masked, args.output)
@@ -182,17 +188,19 @@ def cmd_synth(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    # --seed also seeds the masks, so it applies to every method.
+    cpd_cfg, hal_cfg = _solver_configs(args, args.methods, own=("seed",))
     generator = _generator_flags(args, "--synth-rank", args.synth_rank)
     if args.input:
-        given = (["--layout"] if args.layout is not None else []) + list(generator)
+        layout = (("--dims", args.dims), ("--layout", args.layout))
+        given = [flag for flag, value in layout if value is not None] + list(generator)
         if given:
             raise ValueError(f"{', '.join(given)} only shape synthetic data, not --input")
-        ds = data.load_dataset(args.input, args.dims)
+        ds = data.load_dataset(args.input)
     elif args.dims is None:
         raise ValueError("bench needs --input or --dims for synthetic data")
     else:
         ds = _synthesize(args, generator, data.derive_seed(args.seed, "synth"))
-    cpd_cfg, hal_cfg = _solver_configs(args)
     results = benchmark.run_benchmark(
         ds,
         args.rates,
@@ -211,14 +219,19 @@ def cmd_bench(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    completed = data.load_dataset(args.input, dims=args.dims)
+    completed = data.load_dataset(args.input)
     if not completed.fully_observed:
         raise ValueError(f"{args.input} is not completed: {(~completed.mask).sum()} values missing")
-    truth = data.load_dataset(args.truth, dims=args.dims)
-    masked = data.load_dataset(args.masked, dims=args.dims)
-    if completed.dims != truth.dims or completed.dims != masked.dims:
-        raise ValueError("completed, truth, and masked files disagree on dims")
-    score = benchmark.rse(completed.tensor, truth.tensor, masked.mask, scope=args.scope)
+    truth = data.load_dataset(args.truth)
+    masked = data.load_dataset(args.masked)
+    channels = truth.channel_labels
+    for path, ds in ((args.input, completed), (args.masked, masked)):
+        if differ := set(ds.channel_labels) ^ set(channels):
+            raise ValueError(f"{path} and {args.truth} differ in channels {sorted(differ)}")
+    # Completed and masked arrays with their channels in the truth file's order.
+    tensor, mask = (a[:, :, [ds.channel_labels.index(c) for c in channels]]
+                    for a, ds in ((completed.tensor, completed), (masked.mask, masked)))
+    score = benchmark.rse(tensor, truth.tensor, mask, scope=args.scope)
     print(f"rse_percent={score!r}")
     return 0
 
@@ -233,9 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("complete", help="complete a partially observed tensor CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--dims", type=_parse_dims, default=None)
     p.add_argument("--method", choices=benchmark.METHODS, default="cpd_lrtc")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="CPD-LRTC initialization seed")
     p.add_argument("--prefill", action=argparse.BooleanOptionalAction, default=None,
                    help="pre-fill multi-measurement tensors (default: on for that layout)")
     p.add_argument("--report", default=None, help="write a JSON solve report here")
@@ -247,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--rate", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dims", type=_parse_dims, default=None)
     p.add_argument("--truth-output", default=None)
     p.set_defaults(func=cmd_simulate)
 
@@ -264,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="sweep missing rates and compare methods")
     p.add_argument("--input", default=None)
     p.add_argument("--output", default=None, help="results CSV path")
-    p.add_argument("--dims", type=_parse_dims, default=None)
+    p.add_argument("--dims", type=_parse_dims, default=None, help="synthetic data shape")
     p.add_argument("--layout", choices=data.LAYOUTS, default=None,
                    help="generator of synthetic data (when no --input)")
     p.add_argument("--synth-rank", dest="synth_rank", type=int, default=None,
@@ -283,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="completed tensor CSV")
     p.add_argument("--truth", required=True, help="ground-truth CSV")
     p.add_argument("--masked", required=True, help="masked CSV defining missing positions")
-    p.add_argument("--dims", type=_parse_dims, default=None)
     p.add_argument("--scope", choices=("missing", "all"), default="missing")
     p.set_defaults(func=cmd_eval)
 

@@ -71,19 +71,20 @@ _GRAM_MIN_EIGENVALUE = np.finfo(np.float64).tiny / _GRAM_MIN_RATIO**2
 def _check_admm_fields(cfg) -> None:
     """Validate the fields both solver configs share; normalizes ``alpha`` to floats.
 
+    A float passes only when finite and in range, so NaN and inf fail.
     ``mu0=None`` passes here; a config that cannot adapt mu0 rejects it itself.
     """
     object.__setattr__(cfg, "alpha", tuple(float(a) for a in cfg.alpha))
-    if len(cfg.alpha) != 3 or any(a < 0 for a in cfg.alpha):
-        raise ValueError("alpha must be three nonnegative weights")
-    if abs(sum(cfg.alpha) - 1.0) > 1e-12:
+    if len(cfg.alpha) != 3 or not all(0 <= a < np.inf for a in cfg.alpha):
+        raise ValueError("alpha must be three finite nonnegative weights")
+    if not abs(sum(cfg.alpha) - 1.0) <= 1e-12:
         raise ValueError("alpha weights must sum to 1")
-    if cfg.mu0 is not None and cfg.mu0 <= 0:
-        raise ValueError("mu0 must be positive")
-    if cfg.mu_max <= 0:
-        raise ValueError("mu_max must be positive")
-    if cfg.rho < 1:
-        raise ValueError("rho must be >= 1")
+    if cfg.mu0 is not None and not 0 < cfg.mu0 < np.inf:
+        raise ValueError("mu0 must be positive and finite")
+    if not 0 < cfg.mu_max < np.inf:
+        raise ValueError("mu_max must be positive and finite")
+    if not 1 <= cfg.rho < np.inf:
+        raise ValueError("rho must be finite and >= 1")
     if not 0 < cfg.epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
     if cfg.max_iters < 1:
@@ -118,8 +119,8 @@ class SolverConfig:
         _check_admm_fields(self)
         if self.rank is not None and self.rank < 1:
             raise ValueError("rank must be a positive integer")
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
+        if not 0 < self.lam < np.inf:
+            raise ValueError("lam must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 

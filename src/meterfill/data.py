@@ -3,9 +3,9 @@
 Builds the day x slot x channel tensor from long-format readings, serializes
 it to CSV, simulates random missing data, generates synthetic load tensors,
 and pre-fills single-user multi-measurement tensors through the power
-identity ``P = U * I * cos_phi``. A dataset's layout follows from its
-channel names: exactly ``P``, ``U``, ``I``, ``cos_phi`` make it one user's
-measurements, any other names make it users.
+identity ``P = U * I * cos_phi``. A file's records define its grid, and its
+channel names its layout: exactly ``P``, ``U``, ``I``, ``cos_phi`` make it
+one user's measurements, any other names make it users.
 
 CSV format (UTF-8, a leading byte-order mark accepted, header
 ``day,slot,channel,value``): one row per tensor position, ``day`` and
@@ -77,9 +77,9 @@ class MeterColumns(NamedTuple):
 class TensorDataset:
     """A measurement tensor with its observation mask and axis labels.
 
-    ``tensor`` holds zeros at unobserved positions. ``layout`` is
-    :func:`infer_layout` of the channel names; a layout given to the
-    constructor must agree with it.
+    ``tensor`` holds zeros at unobserved positions. Channel labels are
+    distinct and nonempty. ``layout`` is :func:`infer_layout` of the channel
+    names; a layout given to the constructor must agree with it.
     """
 
     tensor: np.ndarray
@@ -97,6 +97,9 @@ class TensorDataset:
         object.__setattr__(self, "day_labels", tuple(self.day_labels))
         object.__setattr__(self, "slot_labels", tuple(self.slot_labels))
         object.__setattr__(self, "channel_labels", tuple(str(c) for c in self.channel_labels))
+        names = self.channel_labels
+        if "" in names or len(set(names)) < len(names):
+            raise ValueError(f"channel labels must be distinct and nonempty, got {names}")
         layout = infer_layout(self.channel_labels)
         if self.layout not in (None, layout):
             raise ValueError(
@@ -127,32 +130,18 @@ def infer_layout(channel_labels) -> str:
     return LAYOUT_MULTI_USER
 
 
-def build_tensor(cols: MeterColumns, dims=None) -> TensorDataset:
+def build_tensor(cols: MeterColumns) -> TensorDataset:
     """Assemble a dataset from columns; absent and NaN positions become unobserved.
 
-    Duplicate ``(day, slot, channel)`` keys, out-of-range indices and channel
-    codes, and infinite values are rejected. Channels that ``dims`` asks for
-    beyond the named ones are called ``channel_<k>``; padding the four
-    electrical channels is rejected. When the channels are the electrical
-    ones, observed values must satisfy ``cos_phi`` in [-1, 1] and
-    nonnegative ``U`` and ``I``.
+    The dims are the largest day, the largest slot and the number of
+    channel names. Duplicate ``(day, slot, channel)`` keys, days or slots
+    below 1, out-of-range channel codes, and infinite values are rejected.
+    When the channels are the electrical ones, observed values must satisfy
+    ``cos_phi`` in [-1, 1] and nonnegative ``U`` and ``I``.
     """
     day, slot, chan, value, names = cols
-    if dims is None:
-        if not day.size:
-            raise DataError("cannot infer dims from an empty record set")
-        dims = (day.max(), slot.max(), len(names))
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != 3 or min(dims) < 1:
-        raise ValueError(f"dims must be three positive integers, got {dims}")
-    if len(names) > dims[2]:
-        raise DataError(f"records name {len(names)} channels, dims allow {dims[2]}")
-    if len(names) < dims[2] and infer_layout(names) == LAYOUT_MULTI_MEASUREMENT:
-        raise DataError(
-            f"{LAYOUT_MULTI_MEASUREMENT} requires channels {ELECTRICAL_CHANNELS}, "
-            f"dims ask for {dims[2]}"
-        )
-    channels = list(names) + [f"channel_{k + 1}" for k in range(len(names), dims[2])]
+    if not day.size:
+        raise DataError("cannot infer dims from an empty record set")
 
     def position(k):
         return f"day={day[k]}, slot={slot[k]}, channel={names[chan[k]]!r}"
@@ -161,16 +150,15 @@ def build_tensor(cols: MeterColumns, dims=None) -> TensorDataset:
     if bad.any():
         k = int(np.argmax(bad))
         raise DataError(f"record {k} has channel code {chan[k]}, but {len(names)} channels")
-    bad = (day < 1) | (day > dims[0]) | (slot < 1) | (slot > dims[1])
+    bad = (day < 1) | (slot < 1)
     if bad.any():
-        raise DataError(f"record {position(int(np.argmax(bad)))} is outside dims {dims}")
+        raise DataError(f"record {position(int(np.argmax(bad)))} has a day or slot below 1")
+    dims = (int(day.max()), int(slot.max()), len(names))
     lin = np.ravel_multi_index((day - 1, slot - 1, chan), dims)
     uniq, counts = np.unique(lin, return_counts=True)
     if counts.max(initial=0) > 1:
         d, s, c = np.unravel_index(uniq[int(np.argmax(counts > 1))], dims)
-        raise DataError(
-            f"duplicate record for day={d + 1}, slot={s + 1}, channel={channels[c]!r}"
-        )
+        raise DataError(f"duplicate record for day={d + 1}, slot={s + 1}, channel={names[c]!r}")
     bad = np.isinf(value)
     if bad.any():
         raise DataError(f"non-finite value for {position(int(np.argmax(bad)))}")
@@ -185,7 +173,7 @@ def build_tensor(cols: MeterColumns, dims=None) -> TensorDataset:
         mask=mask,
         day_labels=tuple(range(1, dims[0] + 1)),
         slot_labels=tuple(range(1, dims[1] + 1)),
-        channel_labels=tuple(channels),
+        channel_labels=names,
     )
     if ds.layout == LAYOUT_MULTI_MEASUREMENT:
         _check_electrical_ranges(ds)
@@ -480,9 +468,9 @@ def save_csv(ds: TensorDataset, path) -> None:
             fh.writelines([f"{head}{tail}{t}\n" for tail, t in zip(tails, text)])
 
 
-def load_dataset(path, dims=None) -> TensorDataset:
-    """Load a CSV file into a dataset; the layout follows from its channel names."""
-    return build_tensor(load_csv(path), dims)
+def load_dataset(path) -> TensorDataset:
+    """Load a CSV file into a dataset; its dims and layout follow from its records."""
+    return build_tensor(load_csv(path))
 
 
 # ---------------------------------------------------------------------------

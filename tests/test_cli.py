@@ -52,32 +52,67 @@ class TestParseRates:
 
 
 class TestSolverFlags:
-    @pytest.mark.parametrize("command", ["complete", "bench"])
-    def test_flags_reach_the_configs_with_those_fields(self, command):
+    @pytest.mark.parametrize("command,methods", [
+        pytest.param("complete", "cpd_lrtc", id="complete"),
+        pytest.param("bench", "cpd_lrtc,halrtc", id="bench"),
+        pytest.param("complete", "halrtc", id="complete-halrtc"),
+        pytest.param("complete", "mean", id="complete-mean"),
+        pytest.param("bench", "mean,interp", id="bench-mean-interp"),
+    ])
+    def test_flags_reach_the_configs_with_those_fields(self, command, methods):
+        methods = methods.split(",")
         io = ["--input", "in.csv", "--output", "out.csv"] if command == "complete" else []
-        args = build_parser().parse_args([
-            command, *io, "--rho", "1.2", "--mu0", "0.5", "--mu-max", "1e6",
-            "--epsilon", "1e-5", "--max-iters", "7", "--alpha", "0.5,0.25,0.25",
-            "--rank", "4", "--lambda", "2", "--seed", "9",
-        ])
-        cpd, hal = _solver_configs(args)
+        option = "--method" if command == "complete" else "--methods"
         shared = {"rho": 1.2, "mu0": 0.5, "mu_max": 1e6, "epsilon": 1e-5, "max_iters": 7,
                   "alpha": (0.5, 0.25, 0.25)}
+        flags = []
+        if {"cpd_lrtc", "halrtc"} & set(methods):
+            flags += ["--rho", "1.2", "--mu0", "0.5", "--mu-max", "1e6", "--epsilon", "1e-5",
+                      "--max-iters", "7", "--alpha", "0.5,0.25,0.25"]
+        if "cpd_lrtc" in methods:
+            flags += ["--rank", "4", "--lambda", "2", "--seed", "9"]
+        args = build_parser().parse_args([command, *io, option, ",".join(methods), *flags])
+        cpd, hal = _solver_configs(args, methods, own=("seed",) if command == "bench" else ())
+        assert (cpd is None, hal is None) == ("cpd_lrtc" not in methods, "halrtc" not in methods)
         for cfg in (cpd, hal):
-            assert {name: getattr(cfg, name) for name in shared} == shared
-        assert (cpd.rank, cpd.lam, cpd.seed) == (4, 2.0, 9)
-        assert not {"rank", "lam", "seed"} & set(vars(hal))
+            if cfg is not None:
+                assert {name: getattr(cfg, name) for name in shared} == shared
+        if cpd is not None:
+            assert (cpd.rank, cpd.lam, cpd.seed) == (4, 2.0, 9)
+        if hal is not None:
+            assert not {"rank", "lam", "seed"} & set(vars(hal))
 
-    @pytest.mark.parametrize("command,extra", [("complete", []), ("simulate", ["--rate", "0.1"])])
+    @pytest.mark.parametrize("argv,refused", [
+        (["complete", "--method", "mean", "--rank", "3", "--lambda", "7"],
+         "--rank, --lambda do not apply to --method mean"),
+        (["complete", "--method", "halrtc", "--rank", "3", "--seed", "4"],
+         "--rank, --seed do not apply to --method halrtc"),
+        (["bench", "--methods", "mean,interp", "--mu0", "5"],
+         "--mu0 do not apply to --methods mean,interp"),
+        (["complete", "--rho", "nan"], "rho must be finite"),
+    ], ids=["complete-mean", "complete-halrtc", "bench-mean-interp", "nan"])
+    def test_flags_no_config_reads_are_refused(self, tmp_path, capsys, full_csv, argv, refused):
+        out = tmp_path / "out.csv"
+        io = ["--output", out] if argv[0] == "complete" else ["--rates", "0.2", "--output", out]
+        assert run_cli(*argv, "--input", full_csv, *io) == 1
+        assert refused in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,extra", [
+        ("complete", ["--output", "out.csv"]),
+        ("simulate", ["--output", "out.csv", "--rate", "0.1"]),
+        ("eval", ["--truth", "truth.csv", "--masked", "masked.csv"]),
+    ])
     def test_no_layout_flag_on_file_input(self, command, extra):
-        argv = [command, "--input", "in.csv", "--output", "out.csv", *extra]
+        argv = [command, "--input", "in.csv", *extra]
         build_parser().parse_args(argv)
-        with pytest.raises(SystemExit):
-            build_parser().parse_args([*argv, "--layout", "multi_user_single_measurement"])
+        for flag in (["--layout", "multi_user_single_measurement"], ["--dims", "5x6x3"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([*argv, *flag])
 
     def test_flags_not_given_keep_defaults(self):
         args = build_parser().parse_args(["complete", "--input", "in.csv", "--output", "out.csv"])
-        cpd, hal = _solver_configs(args)
+        cpd, hal = _solver_configs(args, ["cpd_lrtc", "halrtc"])
         assert cpd == SolverConfig()
         assert hal == HalrtcConfig()
 
@@ -254,6 +289,30 @@ class TestEval:
         masked_ds = load_dataset(masked)
         assert reported == rse(completed.tensor, truth.tensor, masked_ds.mask, scope="all")
 
+    def test_channels_matched_by_name(self, tmp_path, full_csv, capsys):
+        masked = tmp_path / "masked.csv"
+        run_cli("simulate", "--input", full_csv, "--output", masked, "--rate", "0.3", "--seed", "2")
+        out = tmp_path / "done.csv"
+        run_cli("complete", "--input", masked, "--output", out, "--rank", "4")
+        header, *rows = out.read_text().splitlines()
+        # The same rows with user_003's first: load_csv numbers channels as they appear.
+        reordered = tmp_path / "reordered.csv"
+        reordered.write_text("\n".join([header, *sorted(rows, key=lambda r: "user_003" not in r)]))
+        capsys.readouterr()
+        scores = []
+        for completed in (out, reordered):
+            assert run_cli("eval", "--input", completed, "--truth", full_csv,
+                           "--masked", masked) == 0
+            scores.append(capsys.readouterr().out)
+        assert load_dataset(reordered).channel_labels[0] == "user_003"
+        assert scores[0] == scores[1]
+
+    def test_different_channels_refused(self, tmp_path, full_csv, capsys):
+        renamed = tmp_path / "renamed.csv"
+        renamed.write_text(full_csv.read_text().replace("user_002", "user_009"))
+        assert run_cli("eval", "--input", renamed, "--truth", full_csv, "--masked", full_csv) == 1
+        assert "differ in channels ['user_002', 'user_009']" in capsys.readouterr().err
+
     def test_masked_input_refused(self, tmp_path, full_csv, capsys):
         masked = tmp_path / "masked.csv"
         run_cli("simulate", "--input", full_csv, "--output", masked, "--rate", "0.3", "--seed", "2")
@@ -314,7 +373,7 @@ class TestBench:
 
     @pytest.mark.parametrize("flags", [
         ["--layout", "single_user_multi_measurement"], ["--layout", "multi_user_single_measurement"],
-        ["--synth-rank", "9"], ["--noise", "3"], ["--no-periodic"],
+        ["--synth-rank", "9"], ["--noise", "3"], ["--no-periodic"], ["--dims", "5x6x3"],
     ])
     def test_input_refuses_generator_flags(self, tmp_path, capsys, full_csv, flags):
         out = tmp_path / "r.csv"

@@ -1,5 +1,6 @@
 """CP-factor completion solver: subproblem oracles and end-to-end recovery."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -162,6 +163,15 @@ class TestConfigValidation:
             {"rho": 0.9},
             {"max_iters": 0},
             {"mu0": None},
+            {"rho": math.nan},
+            {"mu0": math.nan},
+            {"mu_max": math.nan},
+            {"lam": math.nan},
+            {"alpha": (math.nan, 0.5, 0.5)},
+            {"mu0": math.inf},
+            {"rho": math.inf},
+            {"lam": math.inf},
+            {"mu_max": math.inf},
         ],
     )
     def test_bad_fields(self, kwargs):

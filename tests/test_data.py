@@ -68,11 +68,6 @@ def columns(*rows):
 
 
 class TestBuildTensor:
-    def test_empty_records_with_dims(self):
-        ds = build_tensor(columns(), dims=(2, 2, 2))
-        assert not ds.mask.any()
-        assert np.array_equal(ds.tensor, np.zeros((2, 2, 2)))
-
     def test_empty_records_without_dims(self):
         with pytest.raises(DataError, match="cannot infer dims"):
             build_tensor(columns())
@@ -88,23 +83,24 @@ class TestBuildTensor:
 
     def test_none_value_marks_missing(self):
         cols = columns((1, 1, "a", 2.0), (1, 2, "a", None))
-        ds = build_tensor(cols, dims=(1, 2, 1))
+        ds = build_tensor(cols)
         assert ds.mask[0, 0, 0] and not ds.mask[0, 1, 0]
 
     def test_duplicate_key_rejected(self):
         cols = columns((1, 1, "a", 1.0), (1, 1, "a", 2.0))
         with pytest.raises(DataError, match="duplicate record for day=1, slot=1"):
-            build_tensor(cols, dims=(2, 2, 1))
+            build_tensor(cols)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(DataError, match="outside dims"):
-            build_tensor(columns((3, 1, "a", 1.0)), dims=(2, 2, 1))
+        for day, slot in ((0, 1), (1, 0)):
+            with pytest.raises(DataError, match=f"day={day}, slot={slot}, .* below 1"):
+                build_tensor(columns((1, 1, "a", 1.0), (day, slot, "a", 1.0)))
 
     @pytest.mark.parametrize("code", [-1, 1])
     def test_channel_code_out_of_range_rejected(self, code):
         cols = columns((1, 1, "a", 1.0))._replace(channel=np.array([code]))
         with pytest.raises(DataError, match=f"channel code {code}, but 1 channels"):
-            build_tensor(cols, dims=(2, 2, 2))
+            build_tensor(cols)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf])
     def test_infinite_value_rejected(self, bad):
@@ -112,15 +108,10 @@ class TestBuildTensor:
         with pytest.raises(DataError, match="non-finite value for day=1, slot=2, channel='a'"):
             build_tensor(cols)
 
-    def test_too_many_channels_for_dims(self):
-        cols = columns((1, 1, "a", 1.0), (1, 1, "b", 1.0))
-        with pytest.raises(DataError, match="records name 2 channels, dims allow 1"):
-            build_tensor(cols, dims=(1, 1, 1))
-
     def test_electrical_value_ranges(self):
         cols = columns(*((1, 1, c, 1.0) for c in ("P", "U", "I")), (1, 1, "cos_phi", 1.5))
         with pytest.raises(DataError, match="cos_phi"):
-            build_tensor(cols, dims=(1, 1, 4))
+            build_tensor(cols)
 
     def test_large_grid_builds_quickly(self):
         dims = (31, 48, 114)
@@ -131,7 +122,7 @@ class TestBuildTensor:
             )
         )
         start = time.perf_counter()
-        ds = build_tensor(cols, dims)
+        ds = build_tensor(cols)
         elapsed = time.perf_counter() - start
         assert ds.mask.all()
         assert elapsed < 1.0
@@ -157,11 +148,16 @@ class TestLayout:
                 layout=layout,
             )
 
-    def test_padding_electrical_channels_rejected(self, tmp_path):
-        path = tmp_path / "case2.csv"
-        save_csv(synth_electrical_tensor(2, 3, seed=1), path)
-        with pytest.raises(ValueError, match="requires channels"):
-            load_dataset(path, dims=(2, 3, 5))
+    @pytest.mark.parametrize("channels", [("a", "a"), ("", "b")])
+    def test_channel_labels_distinct_and_nonempty(self, channels):
+        with pytest.raises(ValueError, match="distinct and nonempty"):
+            TensorDataset(
+                tensor=np.ones((1, 1, 2)),
+                mask=np.ones((1, 1, 2), dtype=bool),
+                day_labels=(1,),
+                slot_labels=(1,),
+                channel_labels=channels,
+            )
 
 
 class TestSimulateMissing:
@@ -477,6 +473,12 @@ class TestCsv:
         assert got.channels == want.channels
         for a, b in zip(got[:4], want[:4]):
             assert np.array_equal(a, b, equal_nan=True)
+
+    def test_day_zero_file_rejected(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("day,slot,channel,value\n0,1,a,1.0\n0,2,a,2.0\n")
+        with pytest.raises(DataError, match="day=0, slot=1, channel='a' has a day or slot below 1"):
+            load_dataset(path)
 
     def test_huge_day_rejected(self, tmp_path):
         path = tmp_path / "data.csv"

@@ -1,5 +1,6 @@
 """Unfolding-based comparator solver."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -26,7 +27,20 @@ class TestConfig:
             HalrtcConfig(alpha=(0.5, 0.5, 0.5))
 
     @pytest.mark.parametrize(
-        "kwargs", [{"mu0": 0.0}, {"rho": 0.5}, {"epsilon": 1.5}, {"max_iters": 0}]
+        "kwargs",
+        [
+            {"mu0": 0.0},
+            {"rho": 0.5},
+            {"epsilon": 1.5},
+            {"max_iters": 0},
+            {"rho": math.nan},
+            {"mu0": math.nan},
+            {"mu_max": math.nan},
+            {"alpha": (math.nan, 0.5, 0.5)},
+            {"mu0": math.inf},
+            {"rho": math.inf},
+            {"mu_max": math.inf},
+        ],
     )
     def test_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
