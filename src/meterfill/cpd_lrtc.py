@@ -158,8 +158,9 @@ class CompletionReport:
     """Outcome of one completion solve.
 
     residual_history holds the per-iteration relative change of X;
-    svd_shapes lists the distinct matrix shapes submitted to singular value
-    thresholding (:func:`svt`).
+    svd_shapes lists each mode's ``I_n x J`` matrix for singular value
+    thresholding (:func:`svt`); HaLRTC submits its columns in another order,
+    and its mode-3 matrix transposed.
     """
 
     completed: np.ndarray

@@ -78,8 +78,9 @@ class TensorDataset:
     """A measurement tensor with its observation mask and axis labels.
 
     ``tensor`` holds zeros at unobserved positions. Channel labels are
-    distinct and nonempty. ``layout`` is :func:`infer_layout` of the channel
-    names; a layout given to the constructor must agree with it.
+    distinct, nonempty and without the surrounding whitespace that
+    :func:`load_csv` strips. ``layout`` is :func:`infer_layout` of the
+    channel names; a layout given to the constructor must agree with it.
     """
 
     tensor: np.ndarray
@@ -100,6 +101,8 @@ class TensorDataset:
         names = self.channel_labels
         if "" in names or len(set(names)) < len(names):
             raise ValueError(f"channel labels must be distinct and nonempty, got {names}")
+        if any(c != c.strip() for c in names):
+            raise ValueError(f"channel labels must not start or end with whitespace, got {names}")
         layout = infer_layout(self.channel_labels)
         if self.layout not in (None, layout):
             raise ValueError(

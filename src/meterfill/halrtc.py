@@ -1,13 +1,13 @@
 """Unfolding-based low-rank tensor completion comparator.
 
-Classic high-accuracy LRTC: ADMM over one auxiliary low-rank matrix per
-mode-n unfolding, with singular value thresholding applied to the full
-``I_n x (prod of other dims)`` matrices. It runs the same outer ADMM loop
-as the CP-factor solver (penalty schedule, stopping rule, report) and
-differs from it only in its step and its default ``mu0``/``rho``, so
+Classic high-accuracy LRTC (HaLRTC): ADMM over one auxiliary low-rank
+matrix per mode, with singular value thresholding applied to the full
+``I_n x (prod of other dims)`` mode-n matricizations. It runs the same outer
+ADMM loop as the CP-factor solver (penalty schedule, stopping rule, report)
+and differs from it only in its step and its default ``mu0``/``rho``, so
 benchmarks can swap methods; the structural difference is the size of the
-matrices each method thresholds. The shared :func:`svt` thresholds an
-unfolding through the ``eigh`` of its ``I_n x I_n`` Gram matrix.
+matrices each method thresholds. The shared :func:`svt` thresholds each
+matricization through the ``eigh`` of its ``I_n x I_n`` Gram matrix.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpd_lrtc import CompletionReport, _check_admm_fields, _observed_input, _run_admm, svt
-from .tensor_ops import fold, fro_norm, project, unfold
+from .tensor_ops import fro_norm, project
 
 
 @dataclass(frozen=True)
@@ -40,44 +40,40 @@ class HalrtcConfig:
         _check_admm_fields(self)
 
 
+def _shrink(z: np.ndarray, n: int, tau: float) -> np.ndarray:
+    """:func:`svt` of z's mode-n (0-based) unfolding, shaped like z.
+
+    svt commutes with column permutations and transposition, so each mode
+    thresholds a C-order matricization instead: modes 1 and 3 (the tall
+    transpose) are views of z, mode 2 copies z once.
+    """
+    if n == 2:
+        return svt(z.reshape(-1, z.shape[2]), tau).reshape(z.shape)
+    z = z.swapaxes(0, n)
+    return svt(z.reshape(z.shape[0], -1), tau).reshape(z.shape).swapaxes(0, n)
+
+
 def complete_halrtc(truth, mask, cfg: HalrtcConfig | None = None) -> CompletionReport:
     """Complete a partially observed tensor by unfolding-based ADMM.
 
-    Per iteration and mode n: shrink ``unfold(X + Y_n / mu, n)``, average
-    the refolded estimates minus ``Y_n / mu`` into X, re-impose the observed
-    entries, then step the duals by the remaining mode residuals.
+    Per iteration and mode n: :func:`_shrink` ``X + Y_n / mu`` to M_n,
+    average the ``M_n - Y_n / mu`` into X, re-impose the observed entries,
+    then step the duals by the remaining mode residuals ``mu (X - M_n)``.
     """
     cfg = cfg if cfg is not None else HalrtcConfig()
     t, m, observed_idx, observed = _observed_input(truth, mask)
-    dims = t.shape
     x = project(t, m)
     mu0 = cfg.mu0 if cfg.mu0 is not None else 1.0 / max(fro_norm(x), 1e-12)
-    ys = [np.zeros(dims) for _ in range(3)]
+    ys = [np.zeros(t.shape) for _ in range(3)]
 
     def step(x, mu):
-        folded = []
-        for n in range(3):
-            y_mu = ys[n] / mu
-            mn = fold(svt(unfold(x + y_mu, n + 1), cfg.alpha[n] / mu), n + 1, dims)
-            folded.append(mn)
-            # This mode's estimate of X, written over y_mu, which is not read again.
-            np.subtract(mn, y_mu, out=y_mu)
-            if n == 0:
-                x_new = y_mu
-            else:
-                x_new += y_mu
-        x_new /= 3.0
+        ms = [_shrink(x + y / mu, n, cfg.alpha[n] / mu) for n, y in enumerate(ys)]
+        x_new = sum(mn - y / mu for mn, y in zip(ms, ys)) / 3.0
         x_new.reshape(-1)[observed_idx] = observed
         # A diverged iterate gives inf - inf here; the loop's non-finite check follows.
         with np.errstate(invalid="ignore"):
-            for y, mn in zip(ys, folded):
-                # mu * (X - M_n), written over M_n, which is not read again.
-                residual = np.subtract(x_new, mn, out=mn)
-                residual *= mu
-                y += residual
+            for y, mn in zip(ys, ms):
+                y += mu * (x_new - mn)
         return x_new
 
-    sizes = tuple(
-        (dims[n], int(np.prod([d for j, d in enumerate(dims) if j != n]))) for n in range(3)
-    )
-    return _run_admm(x, cfg, mu0, step, sizes)
+    return _run_admm(x, cfg, mu0, step, tuple((d, t.size // d) for d in t.shape))

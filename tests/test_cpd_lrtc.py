@@ -121,6 +121,30 @@ class TestSvt:
         assert len(calls) == 1
         assert np.linalg.norm(out - oracle) <= 1e-10 * np.linalg.norm(oracle)
 
+    @pytest.mark.parametrize(
+        "shape,spectrum,tau,svd_calls",
+        [
+            ((20, 60), np.logspace(0, 2, 20), 10.0, 0),
+            ((60, 20), np.logspace(0, 2, 20), 10.0, 0),
+            # Kept values down to 1e-9 of the largest take the SVD fallback.
+            ((12, 40), np.logspace(-9, 0, 12), 0.5e-9, 3),
+        ],
+        ids=["wide", "tall", "svd-fallback"],
+    )
+    def test_commutes_with_column_permutation_and_transpose(
+        self, monkeypatch, shape, spectrum, tau, svd_calls
+    ):
+        # HaLRTC thresholds C-order matricizations, whose columns are the
+        # unfoldings' permuted (and, for mode 3, transposed), on this invariance.
+        m = operand_with_spectrum(shape, spectrum, seed=shape[0])
+        p = np.random.default_rng(shape[1]).permutation(shape[1])
+        calls = count_svd_calls(monkeypatch)
+        expected = svt(m, tau)
+        bound = 1e-12 * np.linalg.norm(expected)
+        assert np.linalg.norm(svt(m[:, p], tau) - expected[:, p]) <= bound
+        assert np.linalg.norm(svt(m.T, tau) - expected.T) <= bound
+        assert len(calls) == svd_calls
+
     @pytest.mark.parametrize("shape", [(6, 9), (9, 6)])
     @pytest.mark.parametrize("c", [1e-170, 1e-150, 1e-6, 1e6, 1e150, 1e200])
     def test_scale_equivariance(self, rng, shape, c):

@@ -159,6 +159,19 @@ class TestLayout:
                 channel_labels=channels,
             )
 
+    @pytest.mark.parametrize("channels", [(" a", "a"), (" u1 ", "u2")])
+    def test_channel_labels_without_surrounding_whitespace(self, channels):
+        # load_csv strips channel fields, so such a label would not come back
+        # from its own file: (" a", "a") as a duplicate record, " u1 " as "u1".
+        with pytest.raises(ValueError, match="must not start or end with whitespace"):
+            TensorDataset(
+                tensor=np.ones((1, 1, 2)),
+                mask=np.ones((1, 1, 2), dtype=bool),
+                day_labels=(1,),
+                slot_labels=(1,),
+                channel_labels=channels,
+            )
+
 
 class TestSimulateMissing:
     def test_rate_zero_keeps_mask(self, rng):
@@ -618,7 +631,7 @@ def _quoting_dataset():
         mask=mask,
         day_labels=("2024-01-01", "Tue, 2 Jan"),
         slot_labels=("00:00", "", 'late "night"'),
-        channel_labels=("line\nbreak", "carriage\rreturn", " leading space", 'q"x', "a,b"),
+        channel_labels=("line\nbreak", "carriage\rreturn", "inner space", 'q"x', "a,b"),
         layout=LAYOUT_MULTI_USER,
     )
 

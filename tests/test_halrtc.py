@@ -109,12 +109,13 @@ class TestCompleteHalrtc:
 
     @pytest.mark.parametrize("rate,bound", [(0.5, 12.75), (0.9, 12.0)])
     def test_peak_memory(self, rate, bound):
-        # The peak is the last mode's SVT: eleven tensors live then (the
-        # starting and the current completion, three duals, two refolded
-        # estimates, the running average, the scaled dual, the unfolded
-        # operand and the result) beside the observed positions and values,
-        # one tensor at 50% missing and a fifth at 90%. Measured: 12.24 and
-        # 11.49 tensors; one more tensor-size buffer fails the bound.
+        # The peak is reached twice, once while X is averaged and once in the
+        # dual step: eleven tensors live then (the starting and the current
+        # completion, three duals, three thresholded estimates and three
+        # temporaries: the running sum, one mode's term and their sum, or the
+        # new X, a residual and its scaled copy) beside the observed positions
+        # and values, one tensor at 50% missing and a fifth at 90%. Measured:
+        # 12.04 and 11.24 tensors; one more tensor-size buffer fails the bound.
         t, mask = parity_instance((31, 48, 114), rate)
         tracemalloc.start()
         try:
@@ -127,19 +128,19 @@ class TestCompleteHalrtc:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_divergence_names_the_iteration(self, monkeypatch, rng, bad):
-        # fold runs once per mode, three times an iteration, and every refolded
+        # svt runs once per mode, three times an iteration, and every mode's
         # estimate is averaged into X, so call 7 is iteration 3's first.
         calls = []
-        refold = halrtc.fold
+        threshold = halrtc.svt
 
-        def diverging(m, n, dims):
+        def diverging(m, tau):
             calls.append(None)
-            out = refold(m, n, dims)
+            out = threshold(m, tau)
             if len(calls) >= 7:
                 out[...] = bad
             return out
 
-        monkeypatch.setattr(halrtc, "fold", diverging)
+        monkeypatch.setattr(halrtc, "svt", diverging)
         t = rng.standard_normal((8, 7, 6))
         mask = rng.random(t.shape) < 0.5
         with pytest.raises(
@@ -149,10 +150,11 @@ class TestCompleteHalrtc:
 
 
 def reference_complete_halrtc(truth, mask, cfg, threshold=svt):
-    """HaLRTC with its own outer loop, as it stood before the loop was shared
-    with CPD-LRTC; the bit-identity tests compare against it. ``threshold``
-    takes the place of ``svt``. Returns the completion, the residual
-    history, the iteration count and the convergence flag.
+    """HaLRTC with its own outer loop over the mode-n unfoldings, as it stood
+    before the loop was shared with CPD-LRTC; the parity tests compare
+    against it. ``threshold`` takes the place of ``svt``. Returns the
+    completion, the residual history, the iteration count and the
+    convergence flag.
     """
     t = np.asarray(truth, dtype=np.float64)
     m = np.asarray(mask, dtype=bool)
@@ -184,8 +186,61 @@ def reference_complete_halrtc(truth, mask, cfg, threshold=svt):
     return x, tuple(history), len(history), converged
 
 
+def matricize(z, n):
+    """The matrix HaLRTC thresholds for mode n (0-based): the mode-n unfolding
+    with its columns in C order, and for mode 3 its transpose.
+    """
+    if n == 2:
+        return z.reshape(-1, z.shape[2])
+    return np.moveaxis(z, n, 0).reshape(z.shape[n], -1)
+
+
+def unmatricize(mat, n, dims):
+    """Inverse of :func:`matricize` for a tensor of shape ``dims``."""
+    if n == 2:
+        return mat.reshape(dims)
+    rest = [d for k, d in enumerate(dims) if k != n]
+    return np.moveaxis(mat.reshape(dims[n], *rest), 0, n)
+
+
+def reference_matricized_halrtc(truth, mask, cfg):
+    """:func:`reference_complete_halrtc` with each mode thresholded on
+    :func:`matricize` instead of :func:`unfold`, the order of sums the
+    solver's Gram matrices follow. Returns the same four values.
+    """
+    t = np.asarray(truth, dtype=np.float64)
+    m = np.asarray(mask, dtype=bool)
+    dims = t.shape
+    x = project(t, m)
+    denom = fro_norm(x) or 1.0
+    mu = cfg.mu0 if cfg.mu0 is not None else 1.0 / max(fro_norm(x), 1e-12)
+    ys = [np.zeros(dims) for _ in range(3)]
+    history = []
+    converged = False
+    for _ in range(cfg.max_iters):
+        blended = np.zeros(dims)
+        estimates = []
+        for n in range(3):
+            mn = svt(matricize(x + ys[n] / mu, n), cfg.alpha[n] / mu)
+            estimates.append(unmatricize(mn, n, dims))
+            blended += estimates[n] - ys[n] / mu
+        x_new = np.where(m, t, blended / 3.0)
+        for n in range(3):
+            ys[n] = ys[n] + mu * (x_new - estimates[n])
+        resid = fro_norm(x_new - x) / denom
+        history.append(resid)
+        x = x_new
+        mu = min(cfg.rho * mu, cfg.mu_max)
+        if resid <= cfg.epsilon:
+            converged = True
+            break
+    return x, tuple(history), len(history), converged
+
+
 class TestParityWithOwnLoop:
-    """The shared ADMM driver runs exactly the arithmetic of HaLRTC's own loop."""
+    """The solver runs exactly the arithmetic of HaLRTC's own matricized loop,
+    and stays where the unfold-based loop put it.
+    """
 
     @pytest.mark.parametrize("dims", [(30, 48, 50), (31, 48, 114)])
     @pytest.mark.parametrize("rate", [0.5, 0.9])
@@ -193,15 +248,27 @@ class TestParityWithOwnLoop:
         "cfg", [HalrtcConfig(), HalrtcConfig(mu0=0.5, max_iters=40)], ids=["adaptive", "mu0"]
     )
     def test_bit_identical(self, dims, rate, cfg):
-        sr = synth_load_tensor(SynthSpec(dims=dims, rank=3), seed=7)
-        masked = simulate_missing(sr.dataset, rate, derive_seed(11, "mask", f"{rate}"))
-        t, mask = masked.tensor, masked.mask
-        ref, ref_history, ref_iters, ref_converged = reference_complete_halrtc(t, mask, cfg)
+        t, mask = parity_instance(dims, rate)
+        ref, ref_history, ref_iters, ref_converged = reference_matricized_halrtc(t, mask, cfg)
         report = complete_halrtc(t, mask, cfg)
         assert np.array_equal(report.completed, ref)
         assert report.residual_history == ref_history
         assert report.iterations == ref_iters
         assert report.converged == ref_converged
+
+    @pytest.mark.parametrize("dims", [(30, 48, 50), (31, 48, 114)])
+    @pytest.mark.parametrize("rate", [0.5, 0.9])
+    @pytest.mark.parametrize(
+        "cfg", [HalrtcConfig(), HalrtcConfig(mu0=0.5, max_iters=40)], ids=["adaptive", "mu0"]
+    )
+    def test_same_completion_as_unfolding_loop(self, dims, rate, cfg):
+        # Thresholding matricizations instead of unfoldings reorders the Gram
+        # sums only; the solve stays where the unfold-based loop put it.
+        t, mask = parity_instance(dims, rate)
+        ref, _, ref_iters, _ = reference_complete_halrtc(t, mask, cfg)
+        report = complete_halrtc(t, mask, cfg)
+        assert report.iterations == ref_iters
+        assert np.linalg.norm(report.completed - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 class TestParityWithSvdPath:
