@@ -10,6 +10,7 @@ import numpy as np
 
 from . import cpd_lrtc, halrtc
 from .data import (
+    ELECTRICAL_RANGES,
     LAYOUT_MULTI_MEASUREMENT,
     DataError,
     PrefillResult,
@@ -88,18 +89,21 @@ def baseline_linear_interp(ds: TensorDataset) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CompletionOutcome:
-    """A completed tensor in original units plus solve diagnostics."""
+    """A completed tensor in original units plus the report of the solver or fill call.
+
+    A baseline's report has 0 iterations, ``converged=True``, an empty
+    history and no ``svd_shapes``.
+    """
 
     method: str
     completed: np.ndarray
-    report: cpd_lrtc.CompletionReport | None
+    report: cpd_lrtc.CompletionReport
     prefill: PrefillResult | None
-    solve_time: float
     standardized: bool
 
     @property
     def iterations(self) -> int:
-        return self.report.iterations if self.report is not None else 0
+        return self.report.iterations
 
 
 def complete_dataset(
@@ -114,9 +118,10 @@ def complete_dataset(
 
     Multi-measurement datasets are pre-filled through the power identity
     (unless ``prefill=False``; ``prefill=True`` on another layout raises
-    ``ValueError``) and standardized per channel before solving; the output
-    is mapped back to original units with the input's observed entries
-    re-imposed exactly. ``solve_time`` covers only the solver call.
+    ``ValueError``) and standardized per channel before solving. The output
+    is mapped back to original units, clipped to the ``ELECTRICAL_RANGES``
+    that :func:`~meterfill.data.load_dataset` enforces where the channels
+    are electrical, and has the input's observed entries re-imposed exactly.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
@@ -129,20 +134,22 @@ def complete_dataset(
     if standardized:
         work, means, stds = standardize_channels(work)
 
-    report = None
     if method == "cpd_lrtc":
         report = cpd_lrtc.complete(work.tensor, work.mask, cpd_cfg)
     elif method == "halrtc":
         report = halrtc.complete_halrtc(work.tensor, work.mask, halrtc_cfg)
-    if report is not None:
-        completed, solve_time = report.completed, report.wall_time
     else:
         fill = baseline_mean_fill if method == "mean" else baseline_linear_interp
         start = time.perf_counter()
-        completed = fill(work)
-        solve_time = time.perf_counter() - start
+        filled = fill(work)
+        report = cpd_lrtc.CompletionReport(filled, 0, True, (), time.perf_counter() - start, ())
+    completed = report.completed
     if standardized:
         completed = destandardize_channels(completed, means, stds)
+    if multi:
+        # The truth lies in these ranges, so clipping raises no entry's error.
+        bounds = [ELECTRICAL_RANGES.get(c, (-np.inf, np.inf)) for c in ds.channel_labels]
+        completed = np.clip(completed, *np.array(bounds).T)
 
     completed = np.where(ds.mask, ds.tensor, completed)
     return CompletionOutcome(
@@ -150,7 +157,6 @@ def complete_dataset(
         completed=completed,
         report=report,
         prefill=pre,
-        solve_time=solve_time,
         standardized=standardized,
     )
 
@@ -218,7 +224,7 @@ def run_benchmark(
                     method=method,
                     missing_rate=rate,
                     rse_percent=score,
-                    wall_time_s=outcome.solve_time,
+                    wall_time_s=outcome.report.wall_time,
                     iterations=outcome.iterations,
                 )
             )

@@ -131,11 +131,11 @@ def _report_payload(ds, outcome) -> dict:
         "dims": list(ds.dims),
         "observed_entries": ds.n_observed,
         "standardized": outcome.standardized,
-        "iterations": outcome.iterations,
-        "converged": report.converged if report else True,
-        "final_residual": report.residual_history[-1] if report and report.iterations else None,
-        "residual_history": list(report.residual_history) if report else [],
-        "wall_time_s": outcome.solve_time,
+        "iterations": report.iterations,
+        "converged": report.converged,
+        "final_residual": report.residual_history[-1] if report.iterations else None,
+        "residual_history": list(report.residual_history),
+        "wall_time_s": report.wall_time,
     }
     if outcome.prefill is not None:
         payload["prefilled"] = outcome.prefill.filled

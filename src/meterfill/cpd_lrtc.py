@@ -68,6 +68,12 @@ _GRAM_MIN_RATIO = 1e-5
 _GRAM_MIN_EIGENVALUE = np.finfo(np.float64).tiny / _GRAM_MIN_RATIO**2
 
 
+def _check_int(value, name: str, low: int) -> None:
+    """Refuse a value that is not an integer (bools included) or lies below ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def _check_admm_fields(cfg) -> None:
     """Validate the fields both solver configs share; normalizes ``alpha`` to floats.
 
@@ -87,8 +93,7 @@ def _check_admm_fields(cfg) -> None:
         raise ValueError("rho must be finite and >= 1")
     if not 0 < cfg.epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
-    if cfg.max_iters < 1:
-        raise ValueError("max_iters must be positive")
+    _check_int(cfg.max_iters, "max_iters", 1)
 
 
 @dataclass(frozen=True)
@@ -117,12 +122,11 @@ class SolverConfig:
         if self.mu0 is None:
             raise ValueError("mu0 must be a positive number")
         _check_admm_fields(self)
-        if self.rank is not None and self.rank < 1:
-            raise ValueError("rank must be a positive integer")
+        if self.rank is not None:
+            _check_int(self.rank, "rank", 1)
         if not 0 < self.lam < np.inf:
             raise ValueError("lam must be positive and finite")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        _check_int(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,7 +159,7 @@ class FactorSet:
 
 @dataclass(frozen=True, eq=False)
 class CompletionReport:
-    """Outcome of one completion solve.
+    """Outcome of one completion solve, or of a baseline fill with no iterations.
 
     residual_history holds the per-iteration relative change of X;
     svd_shapes lists each mode's ``I_n x J`` matrix for singular value

@@ -9,11 +9,11 @@ one user's measurements, any other names make it users.
 
 CSV format (UTF-8, a leading byte-order mark accepted, header
 ``day,slot,channel,value``): one row per tensor position, ``day`` and
-``slot`` 1-based integers, ``channel`` a string, and ``value`` a decimal
-float or empty for a missing observation. Labels are quoted by the ``csv``
-module, also where they hold a bare carriage return. Files are parsed into
-:class:`MeterColumns`, one array per field, where NaN marks an empty value
-field only (the text ``nan`` is rejected like ``inf``).
+``slot`` its 1-based grid positions, ``channel`` a name, and ``value`` a
+decimal float or empty for a missing observation. Channel names are quoted
+by the ``csv`` module, also where they hold a bare carriage return. Files
+are parsed into :class:`MeterColumns`, one array per field, where NaN marks
+an empty value field only (the text ``nan`` is rejected like ``inf``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import csv
 import hashlib
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import KW_ONLY, dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -34,6 +34,8 @@ LAYOUT_MULTI_MEASUREMENT = "single_user_multi_measurement"
 LAYOUTS = (LAYOUT_MULTI_USER, LAYOUT_MULTI_MEASUREMENT)
 
 ELECTRICAL_CHANNELS = ("P", "U", "I", "cos_phi")
+# The closed value range of each bounded electrical channel (P is unbounded).
+ELECTRICAL_RANGES = {"U": (0.0, math.inf), "I": (0.0, math.inf), "cos_phi": (-1.0, 1.0)}
 CSV_HEADER = ("day", "slot", "channel", "value")
 
 # Divisors smaller than this are treated as zero when inverting P = U*I*cos_phi.
@@ -75,43 +77,45 @@ class MeterColumns(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class TensorDataset:
-    """A measurement tensor with its observation mask and axis labels.
+    """A day x slot x channel measurement tensor with its observation mask.
 
     ``tensor`` holds zeros at unobserved positions. Channel labels are
     distinct, nonempty and without the surrounding whitespace that
-    :func:`load_csv` strips. ``layout`` is :func:`infer_layout` of the
-    channel names; a layout given to the constructor must agree with it.
+    :func:`load_csv` strips. ``layout``, ``day_labels`` and ``slot_labels``
+    are derived; a given value must agree. The layout is :func:`infer_layout`
+    of the channel names, and days and slots are the grid positions
+    ``1..I1`` and ``1..I2``, as in a CSV file.
     """
 
     tensor: np.ndarray
     mask: np.ndarray
-    day_labels: tuple[int, ...]
-    slot_labels: tuple[int, ...]
     channel_labels: tuple[str, ...]
+    _: KW_ONLY
     layout: str | None = None
+    day_labels: tuple[int, ...] | None = None
+    slot_labels: tuple[int, ...] | None = None
 
     def __post_init__(self):
         t = as_tensor(self.tensor)
         m = as_mask(self.mask, t.shape)
         object.__setattr__(self, "tensor", t)
         object.__setattr__(self, "mask", m)
-        object.__setattr__(self, "day_labels", tuple(self.day_labels))
-        object.__setattr__(self, "slot_labels", tuple(self.slot_labels))
         object.__setattr__(self, "channel_labels", tuple(str(c) for c in self.channel_labels))
         names = self.channel_labels
-        if "" in names or len(set(names)) < len(names):
-            raise ValueError(f"channel labels must be distinct and nonempty, got {names}")
+        if len(names) != t.shape[2] or "" in names or len(set(names)) < len(names):
+            raise ValueError(f"{t.shape[2]} channels need distinct and nonempty names: {names}")
         if any(c != c.strip() for c in names):
             raise ValueError(f"channel labels must not start or end with whitespace, got {names}")
-        layout = infer_layout(self.channel_labels)
+        layout = infer_layout(names)
         if self.layout not in (None, layout):
-            raise ValueError(
-                f"channels {self.channel_labels} give layout {layout}, not {self.layout!r}"
-            )
+            raise ValueError(f"channels {names} give layout {layout}, not {self.layout!r}")
         object.__setattr__(self, "layout", layout)
-        labels = (self.day_labels, self.slot_labels, self.channel_labels)
-        if tuple(len(l) for l in labels) != t.shape:
-            raise ValueError("axis label lengths must match tensor dims")
+        for field, n in (("day_labels", t.shape[0]), ("slot_labels", t.shape[1])):
+            positions = tuple(range(1, n + 1))
+            given = getattr(self, field)
+            if given is not None and not np.array_equal(given, positions):
+                raise ValueError(f"{field} must be the positions 1..{n}, got {given!r}")
+            object.__setattr__(self, field, positions)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -171,23 +175,17 @@ def build_tensor(cols: MeterColumns) -> TensorDataset:
     tensor.flat[lin[observed]] = value[observed]
     mask.flat[lin[observed]] = True
 
-    ds = TensorDataset(
-        tensor=tensor,
-        mask=mask,
-        day_labels=tuple(range(1, dims[0] + 1)),
-        slot_labels=tuple(range(1, dims[1] + 1)),
-        channel_labels=names,
-    )
+    ds = TensorDataset(tensor, mask, names)
     if ds.layout == LAYOUT_MULTI_MEASUREMENT:
         _check_electrical_ranges(ds)
     return ds
 
 
 def _check_electrical_ranges(ds: TensorDataset) -> None:
-    for name, lo, hi in (("cos_phi", -1.0, 1.0), ("U", 0.0, None), ("I", 0.0, None)):
+    for name, (lo, hi) in ELECTRICAL_RANGES.items():
         c = ds.channel_labels.index(name)
         vals = ds.tensor[:, :, c][ds.mask[:, :, c]]
-        if vals.size and (vals.min(initial=np.inf) < lo or (hi is not None and vals.max() > hi)):
+        if vals.size and (vals.min() < lo or vals.max() > hi):
             raise DataError(f"observed {name} values fall outside the valid range")
 
 
@@ -340,13 +338,8 @@ def synth_load_tensor(spec: SynthSpec, seed: int) -> SynthResult:
         rms = fro_norm(clean) / math.sqrt(clean.size)
         tensor = clean + spec.noise * rms * rng.standard_normal(spec.dims)
 
-    ds = TensorDataset(
-        tensor=tensor,
-        mask=np.ones(spec.dims, dtype=bool),
-        day_labels=tuple(range(1, days + 1)),
-        slot_labels=tuple(range(1, slots + 1)),
-        channel_labels=tuple(f"user_{k + 1:03d}" for k in range(chans)),
-    )
+    names = tuple(f"user_{k + 1:03d}" for k in range(chans))
+    ds = TensorDataset(tensor, np.ones(spec.dims, dtype=bool), names)
     return SynthResult(dataset=ds, factors=(u_day, u_slot, u_chan), clean=clean)
 
 
@@ -377,13 +370,7 @@ def synth_electrical_tensor(days: int, slots: int, seed: int) -> TensorDataset:
     power = volts * amps * cos_phi
 
     tensor = np.stack([power, volts, amps, cos_phi], axis=2)
-    return TensorDataset(
-        tensor=tensor,
-        mask=np.ones(tensor.shape, dtype=bool),
-        day_labels=tuple(range(1, days + 1)),
-        slot_labels=tuple(range(1, slots + 1)),
-        channel_labels=ELECTRICAL_CHANNELS,
-    )
+    return TensorDataset(tensor, np.ones(tensor.shape, dtype=bool), ELECTRICAL_CHANNELS)
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +431,8 @@ def _csv_fields(labels) -> list[str]:
     writer = csv.writer(buf, lineterminator="\r\n")
     fields = []
     for label in labels:
-        # A row of one empty field would be written as "", so pair each label
-        # with an empty field and cut the line end.
-        writer.writerow((label, ""))
-        fields.append(buf.getvalue()[:-2])
+        writer.writerow((label,))
+        fields.append(buf.getvalue()[:-2] + ",")
         buf.seek(0)
         buf.truncate()
     return fields
@@ -456,17 +441,19 @@ def _csv_fields(labels) -> list[str]:
 def save_csv(ds: TensorDataset, path) -> None:
     """Write the full position grid in day-major order; missing values are empty.
 
-    Every label is quoted once by the csv module, and each day's rows are
-    joined from those fields and the values' ``repr``.
+    Days and slots are written as their positions. Each channel name is
+    quoted once by the csv module, and each day's rows are joined from the
+    day, those fields and the values' ``repr``.
     """
-    heads = _csv_fields(ds.day_labels)
+    days, slots, _ = ds.dims
     channels = _csv_fields(ds.channel_labels)
-    tails = [slot + chan for slot in _csv_fields(ds.slot_labels) for chan in channels]
-    values = ds.tensor.reshape(len(heads), -1)
-    seen = ds.mask.reshape(len(heads), -1)
+    tails = [f"{slot},{chan}" for slot in range(1, slots + 1) for chan in channels]
+    values = ds.tensor.reshape(days, -1)
+    seen = ds.mask.reshape(days, -1)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(CSV_HEADER) + "\n")
-        for head, day_values, day_seen in zip(heads, values, seen):
+        for day, day_values, day_seen in zip(range(1, days + 1), values, seen):
+            head = f"{day},"
             text = [repr(v) if s else "" for v, s in zip(day_values.tolist(), day_seen.tolist())]
             fh.writelines([f"{head}{tail}{t}\n" for tail, t in zip(tails, text)])
 

@@ -13,7 +13,7 @@ from meterfill.data import TensorDataset
 
 
 def make_dataset(tensor, mask=None, channels=None):
-    """Wrap arrays in a TensorDataset with default integer labels."""
+    """Wrap arrays in a TensorDataset with ``user_NNN`` channel names by default."""
     tensor = np.asarray(tensor, dtype=np.float64)
     if mask is None:
         mask = np.ones(tensor.shape, dtype=bool)
@@ -22,8 +22,6 @@ def make_dataset(tensor, mask=None, channels=None):
     return TensorDataset(
         tensor=tensor,
         mask=np.asarray(mask, dtype=bool),
-        day_labels=tuple(range(1, tensor.shape[0] + 1)),
-        slot_labels=tuple(range(1, tensor.shape[1] + 1)),
         channel_labels=channels,
     )
 

@@ -261,6 +261,18 @@ class TestComplete:
 
 
 class TestEval:
+    def test_completed_electrical_values_load_back(self, tmp_path, capsys):
+        # At 80% missing the solve overshoots an I value below 0 before clipping.
+        full, masked, out = tmp_path / "full.csv", tmp_path / "masked.csv", tmp_path / "done.csv"
+        assert run_cli("synth", "--output", full, "--dims", "7x24x4",
+                       "--layout", "single_user_multi_measurement", "--seed", "1") == 0
+        assert run_cli("simulate", "--input", full, "--output", masked,
+                       "--rate", "0.8", "--seed", "2") == 0
+        assert run_cli("complete", "--input", masked, "--output", out) == 0
+        capsys.readouterr()
+        assert run_cli("eval", "--input", out, "--truth", full, "--masked", masked) == 0
+        assert capsys.readouterr().out.startswith("rse_percent=")
+
     def test_matches_library_rse(self, tmp_path, full_csv, capsys):
         masked = tmp_path / "masked.csv"
         run_cli("simulate", "--input", full_csv, "--output", masked, "--rate", "0.3", "--seed", "2")

@@ -196,11 +196,21 @@ class TestConfigValidation:
             {"rho": math.inf},
             {"lam": math.inf},
             {"mu_max": math.inf},
+            {"max_iters": 2.5},
+            {"max_iters": True},
+            {"rank": 2.5},
+            {"rank": True},
+            {"seed": 1.5},
+            {"seed": False},
         ],
     )
     def test_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        cfg = SolverConfig(rank=np.int64(3), max_iters=np.int32(7), seed=np.uint8(1))
+        assert (cfg.rank, cfg.max_iters, cfg.seed) == (3, 7, 1)
 
     def test_factor_set_rank_mismatch(self):
         with pytest.raises(ValueError):

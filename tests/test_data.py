@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset
@@ -148,7 +148,7 @@ class TestLayout:
                 layout=layout,
             )
 
-    @pytest.mark.parametrize("channels", [("a", "a"), ("", "b")])
+    @pytest.mark.parametrize("channels", [("a", "a"), ("", "b"), ("a",), ("a", "b", "c")])
     def test_channel_labels_distinct_and_nonempty(self, channels):
         with pytest.raises(ValueError, match="distinct and nonempty"):
             TensorDataset(
@@ -171,6 +171,30 @@ class TestLayout:
                 slot_labels=(1,),
                 channel_labels=channels,
             )
+
+    @pytest.mark.parametrize("field", ["day_labels", "slot_labels"])
+    @pytest.mark.parametrize("labels", [(5, 6), (2, 1), (0, 1), ("1", "2"), ("Mon", "Tue")])
+    def test_days_and_slots_are_positions(self, field, labels):
+        # save_csv writes the positions, so other labels would not come back
+        # from the file: (5, 6) as six days, (2, 1) with the days swapped.
+        kwargs = {"day_labels": (1, 2), "slot_labels": (1, 2), field: labels}
+        with pytest.raises(ValueError, match=f"{field} must be the positions 1..2"):
+            TensorDataset(
+                tensor=np.ones((2, 2, 1)),
+                mask=np.ones((2, 2, 1), dtype=bool),
+                channel_labels=("a",),
+                **kwargs,
+            )
+
+    def test_positions_given_or_omitted(self):
+        tensor, mask = np.ones((2, 3, 1)), np.ones((2, 3, 1), dtype=bool)
+        explicit = TensorDataset(
+            tensor=tensor, mask=mask, channel_labels=("a",),
+            day_labels=range(1, 3), slot_labels=(1, 2, 3),
+        )
+        omitted = TensorDataset(tensor=tensor, mask=mask, channel_labels=("a",))
+        for ds in (explicit, omitted):
+            assert ds.day_labels == (1, 2) and ds.slot_labels == (1, 2, 3)
 
 
 class TestSimulateMissing:
@@ -428,6 +452,27 @@ class TestSynth:
         assert np.all(i > 0)
 
 
+# Names that load_csv returns unchanged: nonempty and without surrounding whitespace.
+_channel_names = st.text(st.characters(exclude_categories=("Cs",)), min_size=1).filter(
+    lambda name: name == name.strip()
+)
+
+
+@st.composite
+def _round_trip_datasets(draw):
+    """Grids up to 3x4x4 with any finite values and masks, and distinct channel
+    names other than the electrical set, whose value ranges are checked on load."""
+    dims = draw(st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4)))
+    size = dims[0] * dims[1] * dims[2]
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=size, max_size=size))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size))).reshape(dims)
+    names = draw(st.lists(_channel_names, min_size=dims[2], max_size=dims[2], unique=True)
+                 .filter(lambda names: set(names) != set(ELECTRICAL_CHANNELS)))
+    tensor = np.where(mask, np.array(values).reshape(dims), 0.0)
+    return make_dataset(tensor, mask, channels=tuple(names))
+
+
 class TestCsv:
     def test_roundtrip(self, tmp_path, rng):
         ds = make_dataset(rng.standard_normal((4, 6, 3)))
@@ -526,6 +571,18 @@ class TestCsv:
         assert loaded.channel_labels == ds.channel_labels
         assert np.array_equal(loaded.tensor, ds.tensor)
 
+    @given(ds=_round_trip_datasets())
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_round_trip_property(self, tmp_path, ds):
+        path = tmp_path / "data.csv"
+        save_csv(ds, path)
+        loaded = load_dataset(path)
+        assert loaded.dims == ds.dims
+        assert loaded.channel_labels == ds.channel_labels
+        assert np.array_equal(loaded.mask, ds.mask)
+        assert loaded.tensor.tobytes() == ds.tensor.tobytes()
+
     def test_infer_layout(self):
         assert infer_layout(("P", "U", "I", "cos_phi")) == LAYOUT_MULTI_MEASUREMENT
         assert infer_layout(("u1", "u2")) == LAYOUT_MULTI_USER
@@ -619,18 +676,13 @@ def _edge_values_dataset():
 
 
 def _quoting_dataset():
-    """String day and slot labels and channel names the csv module must quote.
-
-    Only written, never read back: the days and slots are not integers.
-    """
+    """Channel names the csv module must quote."""
     mask = np.ones((2, 3, 5), dtype=bool)
     mask.flat[[1, 7, 29]] = False
     tensor = np.where(mask, np.random.default_rng(4).standard_normal(mask.shape), 0.0)
     return TensorDataset(
         tensor=tensor,
         mask=mask,
-        day_labels=("2024-01-01", "Tue, 2 Jan"),
-        slot_labels=("00:00", "", 'late "night"'),
         channel_labels=("line\nbreak", "carriage\rreturn", "inner space", 'q"x', "a,b"),
         layout=LAYOUT_MULTI_USER,
     )
@@ -647,10 +699,10 @@ def parity_datasets():
     }
 
 
-# The datasets whose files load back: integer days and slots, and channel
-# names that survive the reader.
-READABLE_PARITY_IDS = ("edge-values", "synth-31x48x114", "electrical")
-PARITY_IDS = (*READABLE_PARITY_IDS, "quoting")
+# Every parity dataset's file loads back: days and slots are positions, and
+# channel names survive the reader.
+READABLE_PARITY_IDS = ("edge-values", "synth-31x48x114", "electrical", "quoting")
+PARITY_IDS = READABLE_PARITY_IDS
 
 
 class TestParityWithRecordPath:

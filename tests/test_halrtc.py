@@ -40,6 +40,8 @@ class TestConfig:
             {"mu0": math.inf},
             {"rho": math.inf},
             {"mu_max": math.inf},
+            {"max_iters": 2.5},
+            {"max_iters": True},
         ],
     )
     def test_bad_fields(self, kwargs):
