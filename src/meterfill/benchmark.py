@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import math
 import time
 from dataclasses import dataclass
 
@@ -163,13 +164,18 @@ def complete_dataset(
 
 @dataclass(frozen=True)
 class BenchResult:
-    """One benchmark cell: a method scored at one missing rate."""
+    """One benchmark cell: a method scored at one missing rate.
+
+    A cell whose method could not fill the masked data has ``error`` set,
+    and NaN RSE and time.
+    """
 
     method: str
     missing_rate: float
     rse_percent: float
     wall_time_s: float
     iterations: int
+    error: str = ""
 
     def __post_init__(self):
         if not 0 <= self.missing_rate < 1:
@@ -194,7 +200,10 @@ def run_benchmark(
     Every method at a given rate sees the identical mask (the mask seed is
     derived from the root seed and the rate label only), so comparisons are
     fair. RSE is always computed against the pre-masking ground truth on
-    the simulated missing set, in original units.
+    the simulated missing set, in original units. A method that cannot
+    fill a masked dataset (a :class:`~meterfill.data.DataError`, such as a
+    baseline meeting a day's series with no observed entry to interpolate)
+    fails only its own cell.
     """
     if not ds.fully_observed:
         raise ValueError("run_benchmark needs a fully observed dataset as ground truth")
@@ -215,9 +224,13 @@ def run_benchmark(
     for rate in rates:
         masked = simulate_missing(ds, rate, derive_seed(seed, "mask", f"{rate:.12g}"))
         for method in methods:
-            outcome = complete_dataset(
-                masked, method, cpd_cfg=cpd_cfg, halrtc_cfg=halrtc_cfg, prefill=prefill
-            )
+            try:
+                outcome = complete_dataset(
+                    masked, method, cpd_cfg=cpd_cfg, halrtc_cfg=halrtc_cfg, prefill=prefill
+                )
+            except DataError as err:
+                results.append(BenchResult(method, rate, math.nan, math.nan, 0, error=str(err)))
+                continue
             score = rse(outcome.completed, ds.tensor, masked.mask, scope=scope)
             results.append(
                 BenchResult(
@@ -232,7 +245,10 @@ def run_benchmark(
 
 
 def results_to_csv(results) -> str:
-    """Machine-readable results: ``method,missing_rate,rse_percent,time_s,iterations``."""
+    """Machine-readable results: ``method,missing_rate,rse_percent,time_s,iterations``.
+
+    A failed cell has ``nan`` RSE and time.
+    """
     buf = io.StringIO()
     buf.write(",".join(RESULT_COLUMNS) + "\n")
     for r in results:
@@ -266,7 +282,12 @@ def format_table(results) -> str:
         row = [f"{100 * rate:g}"]
         for m in methods:
             r = cell.get((rate, m))
-            row += ["-", "-"] if r is None else [f"{r.rse_percent:.2f}", f"{r.wall_time_s:.3f}"]
+            if r is None:
+                row += ["-", "-"]
+            elif r.error:
+                row += ["failed", "-"]
+            else:
+                row += [f"{r.rse_percent:.2f}", f"{r.wall_time_s:.3f}"]
         rows.append(row)
 
     widths = [max(len(row[i]) for row in rows) for i in range(len(header))]

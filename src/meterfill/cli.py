@@ -212,6 +212,11 @@ def cmd_bench(args) -> int:
         scope=args.scope,
     )
     print(benchmark.format_table(results), end="")
+    for r in results:
+        if r.error:
+            name = benchmark.DISPLAY_NAMES[r.method]
+            rate = f"{100 * r.missing_rate:g}% missing"
+            print(f"warning: {name} failed at {rate}: {r.error}", file=sys.stderr)
     if args.output:
         benchmark.write_results_csv(results, args.output)
         print(f"wrote results to {args.output}")

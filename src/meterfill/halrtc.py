@@ -74,6 +74,9 @@ def complete_halrtc(truth, mask, cfg: HalrtcConfig | None = None) -> CompletionR
         with np.errstate(invalid="ignore"):
             for y, mn in zip(ys, ms):
                 y += mu * (x_new - mn)
-        return x_new
+        # x is finite, so a non-finite x_new (or a difference too large to
+        # square) shows up as a non-finite change; x's buffer is not needed again.
+        with np.errstate(over="ignore"):
+            return x_new, fro_norm(np.subtract(x, x_new, out=x))
 
     return _run_admm(x, cfg, mu0, step, tuple((d, t.size // d) for d in t.shape))

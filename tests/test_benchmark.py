@@ -18,6 +18,7 @@ from meterfill.cpd_lrtc import SolverConfig
 from meterfill.data import (
     DataError,
     SynthSpec,
+    derive_seed,
     simulate_missing,
     synth_electrical_tensor,
     synth_load_tensor,
@@ -191,6 +192,21 @@ class TestRunBenchmark:
         a = run_benchmark(ds, [0.2, 0.4], ["cpd_lrtc"], cpd_cfg=SolverConfig(rank=4), seed=3)
         b = run_benchmark(ds, [0.2, 0.4], ["cpd_lrtc"], cpd_cfg=SolverConfig(rank=4), seed=3)
         assert [r.rse_percent for r in a] == [r.rse_percent for r in b]
+
+    def test_baseline_data_error_fails_only_its_cell(self):
+        # At 90% missing some day's 24-slot series of some channel is unobserved.
+        ds = synth_load_tensor(SynthSpec(dims=(10, 24, 8), rank=2), seed=5).dataset
+        results = run_benchmark(ds, [0.2, 0.9], ["mean", "interp"], seed=4)
+        cells = {(r.missing_rate, r.method): r for r in results}
+        failed = cells[0.9, "interp"]
+        with pytest.raises(DataError) as err:
+            baseline_linear_interp(simulate_missing(ds, 0.9, derive_seed(4, "mask", "0.9")))
+        assert failed.error == str(err.value)
+        assert np.isnan(failed.rse_percent) and np.isnan(failed.wall_time_s)
+        for key in [(0.2, "mean"), (0.2, "interp"), (0.9, "mean")]:
+            assert not cells[key].error and np.isfinite(cells[key].rse_percent)
+        assert "interp,0.9,nan,nan,0" in results_to_csv(results).splitlines()
+        assert format_table(results).splitlines()[2].split()[3:] == ["failed", "-"]
 
     def test_result_validation(self):
         with pytest.raises(ValueError):

@@ -394,6 +394,23 @@ class TestBench:
         assert flags[0].replace("no-", "") in capsys.readouterr().err
         assert not out.exists()
 
+    def test_failed_baseline_cell_leaves_the_others_scored(self, tmp_path, capsys):
+        # At 80% missing one day's series of one channel has no observed
+        # entry, so LinearInterp cannot fill that cell; the rest is scored.
+        out = tmp_path / "b.csv"
+        assert run_cli("bench", "--dims", "10x24x8", "--methods", "mean,interp",
+                       "--rates", "0.2,0.8", "--output", out) == 0
+        captured = capsys.readouterr()
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [(r[0], r[1]) for r in rows] == [
+            ("mean", "0.2"), ("interp", "0.2"), ("mean", "0.8"), ("interp", "0.8")]
+        assert rows[3][2:4] == ["nan", "nan"]
+        assert all(np.isfinite(float(r[2])) for r in rows[:3])
+        assert captured.err.splitlines() == [
+            "warning: LinearInterp failed at 80% missing: "
+            "day 2, channel 'user_002': no observed entries to interpolate"]
+        assert captured.out.splitlines()[2].split()[3:] == ["failed", "-"]
+
     def test_unknown_method_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             run_cli("bench", "--dims", "8x12x5", "--methods", "kalman")

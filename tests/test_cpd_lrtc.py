@@ -15,6 +15,7 @@ from meterfill.cpd_lrtc import (
     NumericalError,
     SolverConfig,
     complete,
+    completion_blocks,
     init_factors,
     svt,
     update_auxiliary,
@@ -257,6 +258,29 @@ class TestFactorUpdate:
             resid = np.linalg.norm(rhs - new.U[n] @ gram)
             assert resid <= 1e-8 * np.linalg.norm(rhs)
 
+    def test_given_contraction_matches_formed_one(self, rng):
+        # complete hands each sweep the contraction update_completion wrote;
+        # given the same values, the sweep is the one that forms it from x.
+        state = random_state((6, 5, 4), 3, seed=2)
+        x = rng.standard_normal((6, 5, 4))
+        z = x.reshape(30, 4) @ state.U[2]
+        given = update_factors(state, x, 1.0, 0.37, z)
+        formed = update_factors(state, x, 1.0, 0.37)
+        for n in range(3):
+            assert np.array_equal(given.U[n], formed.U[n])
+
+    def test_mode3_mttkrp_matches_unfolding(self, rng):
+        # The mode-3 right-hand side (khatri_rao(U1, U2).T @ X_(12)).T is the
+        # unfolding MTTKRP unfold(x, 3) @ khatri_rao(U2, U1) in another order.
+        state = random_state((7, 6, 5), 3, seed=13)
+        x = rng.standard_normal((7, 6, 5))
+        lam, mu = 1.0, 0.37
+        new = update_factors(state, x, lam, mu)
+        kr = khatri_rao(new.U[1], new.U[0])
+        rhs = lam * (unfold(x, 3) @ kr) + mu * state.M[2] + state.Y[2]
+        gram = lam * (kr.T @ kr) + mu * np.eye(3)
+        assert np.linalg.norm(rhs - new.U[2] @ gram) <= 1e-12 * np.linalg.norm(rhs)
+
     def test_gradient_vanishes_at_solution(self, rng):
         # First validate the analytic gradient of the quadratic objective by
         # central finite differences at a generic point, then assert it
@@ -399,40 +423,160 @@ def observed_of(t, mask):
     return np.flatnonzero(mask), t[mask]
 
 
+def run_completion(state, t, mask, x=None):
+    """update_completion from completion x (random by default), as complete calls it.
+
+    Returns the old completion, the new one, the contraction z it wrote and
+    the change it reported.
+    """
+    if x is None:
+        x = np.random.default_rng(99).standard_normal(state.dims)
+    old = x.copy()
+    z = np.full((state.dims[0] * state.dims[1], state.U[0].shape[1]), np.nan)
+    blocks = completion_blocks(state.dims, *observed_of(t, mask))
+    change = update_completion(state, x, z, blocks)
+    return old, x, z, change
+
+
+def assert_completion_oracles(state, t, mask, old, new, z, change):
+    """Observed entries exact, the rest the CP reconstruction within 1e-14,
+    z the new completion's mode-3 contraction and change its distance from
+    the old one."""
+    recon = cp_reconstruct(state.U)
+    assert np.array_equal(new[mask], t[mask])
+    assert np.max(np.abs(new - np.where(mask, t, recon))) <= 1e-14 * np.max(np.abs(recon))
+    expected_z = new.reshape(-1, state.dims[2]) @ state.U[2]
+    assert np.linalg.norm(z - expected_z) <= 1e-14 * np.linalg.norm(expected_z)
+    assert change == pytest.approx(fro_norm(old - new), rel=1e-14)
+
+
 class TestCompletionUpdate:
     def test_full_mask_returns_truth(self, rng):
         state = random_state((4, 3, 2), 2, seed=7)
         t = rng.standard_normal((4, 3, 2))
-        assert np.array_equal(
-            update_completion(state, *observed_of(t, np.ones(t.shape, bool))), t
-        )
+        old, new, z, change = run_completion(state, t, np.ones(t.shape, bool))
+        assert np.array_equal(new, t)
+        assert change == pytest.approx(fro_norm(old - t), rel=1e-14)
 
     def test_empty_mask_returns_reconstruction(self):
         state = random_state((4, 3, 2), 2, seed=8)
         t = np.zeros((4, 3, 2))
-        out = update_completion(state, *observed_of(t, np.zeros(t.shape, bool)))
-        assert np.array_equal(out, cp_reconstruct(state.U))
+        mask = np.zeros(t.shape, bool)
+        old, new, z, change = run_completion(state, t, mask)
+        recon = cp_reconstruct(state.U)
+        assert np.max(np.abs(new - recon)) <= 1e-14 * np.max(np.abs(recon))
+        assert_completion_oracles(state, t, mask, old, new, z, change)
 
     def test_entrywise_selector(self, rng):
         state = random_state((4, 3, 2), 2, seed=9)
         t = rng.standard_normal((4, 3, 2))
         mask = rng.random(t.shape) < 0.5
-        out = update_completion(state, *observed_of(t, mask))
+        old, out, z, change = run_completion(state, t, mask)
         recon = cp_reconstruct(state.U)
         for idx in np.ndindex(t.shape):
-            expected = t[idx] if mask[idx] else recon[idx]
-            assert out[idx] == expected
+            if mask[idx]:
+                assert out[idx] == t[idx]
+            else:
+                assert out[idx] == pytest.approx(recon[idx], rel=1e-14, abs=1e-15)
+        assert_completion_oracles(state, t, mask, old, out, z, change)
+
+    def test_overwrites_in_place(self, rng):
+        state = random_state((4, 3, 2), 2, seed=9)
+        t = rng.standard_normal((4, 3, 2))
+        x = np.zeros(t.shape)
+        run_completion(state, t, np.ones(t.shape, bool), x)
+        assert np.array_equal(x, t)
 
     @pytest.mark.parametrize("positions", [[0, 24], [-1, 3]])
     def test_positions_outside_dims_rejected(self, positions):
-        state = random_state((4, 3, 2), 2, seed=9)
         with pytest.raises(ValueError, match="outside factor dims"):
-            update_completion(state, np.array(positions), np.ones(2))
+            completion_blocks((4, 3, 2), np.array(positions), np.ones(2))
 
     def test_positions_and_values_must_pair(self):
-        state = random_state((4, 3, 2), 2, seed=9)
         with pytest.raises(ValueError):
-            update_completion(state, np.array([0, 1]), np.ones(3))
+            completion_blocks((4, 3, 2), np.array([0, 1]), np.ones(3))
+
+    @pytest.mark.parametrize("positions", [[3, 1], [2, 2]])
+    def test_positions_must_increase(self, positions):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            completion_blocks((4, 3, 2), np.array(positions), np.ones(2))
+
+    @pytest.mark.parametrize("order", ["F", "C-int"])
+    def test_completion_must_be_c_ordered_float(self, order):
+        state = random_state((4, 3, 2), 2, seed=9)
+        t = np.ones((4, 3, 2))
+        x = np.asfortranarray(t) if order == "F" else t.astype(np.int64)
+        blocks = completion_blocks(t.shape, *observed_of(t, t > 0))
+        with pytest.raises(ValueError, match="C-ordered float64"):
+            update_completion(state, x, np.zeros((12, 2)), blocks)
+
+
+class TestCompletionBlocks:
+    """The blocked pass at block sizes that cut a small tensor many ways."""
+
+    DIMS = (5, 4, 6)  # 20 rows of 6 entries: 48 bytes a row
+
+    def blocks_of(self, monkeypatch, block_bytes, mask):
+        monkeypatch.setattr(cpd_lrtc, "_BLOCK_BYTES", block_bytes)
+        t = np.random.default_rng(21).standard_normal(self.DIMS)
+        return t, completion_blocks(self.DIMS, *observed_of(t, mask))
+
+    def check(self, monkeypatch, block_bytes, mask):
+        state = random_state(self.DIMS, 3, seed=22)
+        t, _ = self.blocks_of(monkeypatch, block_bytes, mask)
+        old, new, z, change = run_completion(state, t, mask)
+        assert_completion_oracles(state, t, mask, old, new, z, change)
+
+    @pytest.mark.parametrize("block_bytes", [7 * 48, 7 * 48 + 40])
+    def test_ragged_last_block(self, monkeypatch, block_bytes):
+        mask = np.random.default_rng(23).random(self.DIMS) < 0.5
+        _, blocks = self.blocks_of(monkeypatch, block_bytes, mask)
+        assert [(start, stop) for start, stop, *_ in blocks] == [(0, 7), (7, 14), (14, 20)]
+        self.check(monkeypatch, block_bytes, mask)
+
+    def test_block_with_no_observed_entry(self, monkeypatch):
+        mask = np.random.default_rng(24).random(self.DIMS) < 0.5
+        mask[:2] = False  # rows 0..7, the first two blocks of four rows
+        _, blocks = self.blocks_of(monkeypatch, 4 * 48, mask)
+        assert [idx.size for _, _, idx, *_ in blocks[:2]] == [0, 0]
+        assert all(idx.size for _, _, idx, *_ in blocks[2:])
+        self.check(monkeypatch, 4 * 48, mask)
+
+    def test_fully_observed_block(self, monkeypatch):
+        mask = np.random.default_rng(25).random(self.DIMS) < 0.3
+        mask[3:] = True  # rows 12..19, the last two blocks of four rows
+        _, blocks = self.blocks_of(monkeypatch, 4 * 48, mask)
+        assert [idx.size for _, _, idx, *_ in blocks[3:]] == [24, 24]
+        self.check(monkeypatch, 4 * 48, mask)
+
+    @pytest.mark.parametrize("block_bytes", [0, 1, 48])
+    def test_one_row_blocks(self, monkeypatch, block_bytes):
+        mask = np.random.default_rng(26).random(self.DIMS) < 0.5
+        _, blocks = self.blocks_of(monkeypatch, block_bytes, mask)
+        assert [(start, stop) for start, stop, *_ in blocks] == [(r, r + 1) for r in range(20)]
+        self.check(monkeypatch, block_bytes, mask)
+
+    def test_blocks_partition_the_observed_entries(self, monkeypatch):
+        mask = np.random.default_rng(27).random(self.DIMS) < 0.5
+        t, blocks = self.blocks_of(monkeypatch, 3 * 48, mask)
+        idx, values = observed_of(t, mask)
+        assert np.array_equal(np.concatenate([b[2] for b in blocks]), idx)
+        assert np.array_equal(np.concatenate([b[3] for b in blocks]), values)
+        for start, stop, block_idx, _, scratch in blocks:
+            assert np.all((start * 6 <= block_idx) & (block_idx < stop * 6))
+            assert scratch.shape == (stop - start, 6) and np.shares_memory(scratch, blocks[0][4])
+
+    def test_whole_solve_does_not_depend_on_block_size(self, monkeypatch):
+        # Each row's arithmetic is the same in any block; only the order in
+        # which the change's squares are summed moves.
+        t = np.random.default_rng(28).standard_normal(self.DIMS)
+        mask = np.random.default_rng(29).random(self.DIMS) < 0.6
+        cfg = SolverConfig(rank=3, max_iters=20, epsilon=1e-12)
+        default = complete(t, mask, cfg)
+        monkeypatch.setattr(cpd_lrtc, "_BLOCK_BYTES", 48)
+        rows = complete(t, mask, cfg)
+        assert rel_diff(rows.completed, default.completed) <= 1e-12
+        assert np.allclose(rows.residual_history, default.residual_history, rtol=1e-10)
 
 
 class TestMultiplierUpdate:
@@ -542,31 +686,35 @@ class TestComplete:
         with pytest.raises(ValueError):
             complete(t, np.ones(t.shape, bool))
 
-    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e200])
     def test_divergence_names_the_iteration(self, monkeypatch, rng, bad):
+        # From the third iteration on, the blocked pass rebuilds X from a
+        # non-finite U3, or from one near 1e200 whose X is finite but whose
+        # change is too large to square.
         calls = []
-        reconstruct = cpd_lrtc.cp_reconstruct
+        update = cpd_lrtc.update_completion
 
-        def diverging(factors):
+        def diverging(state, *args):
             calls.append(None)
-            out = reconstruct(factors)
             if len(calls) >= 3:
-                out[...] = bad
-            return out
+                u = (*state.U[:2], np.full_like(state.U[2], bad))
+                state = FactorSet(U=u, M=state.M, Y=state.Y)
+            return update(state, *args)
 
-        monkeypatch.setattr(cpd_lrtc, "cp_reconstruct", diverging)
+        monkeypatch.setattr(cpd_lrtc, "update_completion", diverging)
         t = rng.standard_normal((8, 7, 6))
         mask = rng.random(t.shape) < 0.5
-        with pytest.raises(
+        with np.errstate(invalid="ignore"), pytest.raises(
             NumericalError, match=r"^iteration 3: completion diverged to non-finite values$"
         ):
             complete(t, mask, SolverConfig(rank=2, max_iters=10, epsilon=1e-9))
+        assert len(calls) == 3
 
     def test_peak_memory_stays_near_three_tensors(self):
-        # About three tensors live at once: the completion, its successor, and
-        # the observed positions and values (half a tensor each at 50%
-        # missing). One more tensor-size buffer, such as preallocated work
-        # space, would pass 3.5.
+        # The bound from when each iteration allocated the completion's
+        # successor: the completion, its successor, and the observed positions
+        # and values (half a tensor each at 50% missing). The in-place step is
+        # held to a tighter bound below.
         sr = synth_load_tensor(SynthSpec(dims=(31, 48, 114), rank=3), seed=7)
         masked = simulate_missing(sr.dataset, 0.5, derive_seed(11, "mask", "0.5"))
         t, mask = masked.tensor, masked.mask
@@ -577,6 +725,24 @@ class TestComplete:
         finally:
             tracemalloc.stop()
         assert peak <= 3.5 * t.nbytes
+
+
+    @pytest.mark.parametrize("rate,bound", [(0.5, 2.9), (0.9, 1.95)])
+    def test_peak_memory_of_the_in_place_step(self, rate, bound):
+        # The completion updated in place, the observed positions and values,
+        # and one block of at most _BLOCK_BYTES (0.39 of this tensor): peaks
+        # of 2.69 and 1.79 tensors, against 3.18 and 2.38 when each iteration
+        # allocated a new completion. The bounds add 0.2 tensors.
+        sr = synth_load_tensor(SynthSpec(dims=(31, 48, 114), rank=3), seed=7)
+        masked = simulate_missing(sr.dataset, rate, derive_seed(11, "mask", f"{rate}"))
+        t, mask = masked.tensor, masked.mask
+        tracemalloc.start()
+        try:
+            complete(t, mask, SolverConfig(rank=5, max_iters=5, epsilon=1e-9))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * t.nbytes
 
 
 def reference_complete(truth, mask, cfg):
@@ -667,14 +833,18 @@ def assert_within_rounding_sensitivity(reference, dims):
 
 def reference_own_loop_complete(truth, mask, cfg):
     """The copy-free solver with its own outer loop, as it stood before the
-    loop was shared with HaLRTC; the bit-identity tests compare against it.
-    Returns the completion, the residual history, the iteration count and
-    the convergence flag.
+    loop was shared with HaLRTC and before the completion was rebuilt in
+    place block by block: each sweep forms ``X_(12) @ U3`` and
+    ``X_(12).T @ khatri_rao(U1, U2)``, and each completion is a new
+    :func:`cp_reconstruct` with the observed entries written in. Returns the
+    completion, the residual history, the iteration count and the
+    convergence flag.
     """
     t = np.asarray(truth, dtype=np.float64)
     m = np.asarray(mask, dtype=bool)
     rank = cfg.rank if cfg.rank is not None else min(20, min(t.shape))
     state = init_factors(t.shape, rank, np.random.default_rng(cfg.seed))
+    i1, i2, i3 = t.shape
     observed_idx = np.flatnonzero(m)
     observed = t[m]
     x = project(t, m)
@@ -683,9 +853,18 @@ def reference_own_loop_complete(truth, mask, cfg):
     history = []
     converged = False
     for _ in range(cfg.max_iters):
-        state = update_factors(state, x, cfg.lam, mu)
+        u1, u2, u3 = state.U
+        x3 = x.reshape(i1 * i2, i3)
+        z = (x3 @ u3).reshape(i1, i2, -1)
+        g3 = u3.T @ u3
+        u1 = ridge(state, 0, np.einsum("ijr,jr->ir", z, u2), g3, u2.T @ u2, cfg.lam, mu)
+        g1 = u1.T @ u1
+        u2 = ridge(state, 1, np.einsum("ijr,ir->jr", z, u1), g3, g1, cfg.lam, mu)
+        u3 = ridge(state, 2, x3.T @ khatri_rao(u1, u2), g1, u2.T @ u2, cfg.lam, mu)
+        state = FactorSet(U=(u1, u2, u3), M=state.M, Y=state.Y)
         state = update_auxiliary(state, cfg.alpha, mu)
-        x_new = update_completion(state, observed_idx, observed)
+        x_new = cp_reconstruct(state.U)
+        x_new.reshape(-1)[observed_idx] = observed
         state = update_multipliers(state, mu)
         resid = fro_norm(np.subtract(x, x_new, out=x)) / denom
         history.append(resid)
@@ -697,8 +876,70 @@ def reference_own_loop_complete(truth, mask, cfg):
     return x, tuple(history), len(history), converged
 
 
+def ridge(state, n, mttkrp, gram_a, gram_b, lam, mu):
+    """The mode-n ridge solve of the factor sweep, as the reference loops take it."""
+    rhs = lam * mttkrp + mu * state.M[n] + state.Y[n]
+    gram = lam * (gram_a * gram_b) + mu * np.eye(len(gram_a))
+    return np.linalg.solve(gram, rhs.T).T
+
+
+def reference_blocked_complete(truth, mask, cfg):
+    """The solver loop in the order of :func:`complete`, written out: the
+    factor sweep reads the mode-3 contraction of the previous completion
+    pass, and the completion is rebuilt in place, ``_BLOCK_BYTES`` of rows at
+    a time, each block giving its squared change and its rows of the next
+    contraction. Returns what :func:`reference_own_loop_complete` does.
+    """
+    t = np.asarray(truth, dtype=np.float64)
+    m = np.asarray(mask, dtype=bool)
+    rank = cfg.rank if cfg.rank is not None else min(20, min(t.shape))
+    state = init_factors(t.shape, rank, np.random.default_rng(cfg.seed))
+    i1, i2, i3 = t.shape
+    observed_idx = np.flatnonzero(m)
+    observed = t[m]
+    x = project(t, m)
+    x3 = x.reshape(i1 * i2, i3)
+    rows = max(1, cpd_lrtc._BLOCK_BYTES // (8 * i3))
+    denom = fro_norm(x) or 1.0
+    z = x3 @ state.U[2]
+    mu = cfg.mu0
+    history = []
+    converged = False
+    for _ in range(cfg.max_iters):
+        u1, u2, u3 = state.U
+        zt = z.reshape(i1, i2, -1)
+        g3 = u3.T @ u3
+        u1 = ridge(state, 0, np.einsum("ijr,jr->ir", zt, u2), g3, u2.T @ u2, cfg.lam, mu)
+        g1 = u1.T @ u1
+        u2 = ridge(state, 1, np.einsum("ijr,ir->jr", zt, u1), g3, g1, cfg.lam, mu)
+        kr = khatri_rao(u1, u2)
+        u3 = ridge(state, 2, (kr.T @ x3).T, g1, u2.T @ u2, cfg.lam, mu)
+        state = FactorSet(U=(u1, u2, u3), M=state.M, Y=state.Y)
+        state = update_auxiliary(state, cfg.alpha, mu)
+        u3 = state.U[2]
+        squared = 0.0
+        for start in range(0, i1 * i2, rows):
+            stop = min(start + rows, i1 * i2)
+            block = kr[start:stop] @ u3.T
+            inside = (start * i3 <= observed_idx) & (observed_idx < stop * i3)
+            block.reshape(-1)[observed_idx[inside] - start * i3] = observed[inside]
+            diff = (x3[start:stop] - block).reshape(-1)
+            squared += float(diff @ diff)
+            x3[start:stop] = block
+            z[start:stop] = block @ u3
+        state = update_multipliers(state, mu)
+        resid = math.sqrt(squared) / denom
+        history.append(resid)
+        mu = min(cfg.rho * mu, cfg.mu_max)
+        if resid <= cfg.epsilon:
+            converged = True
+            break
+    return x, tuple(history), len(history), converged
+
+
 class TestParityWithOwnLoop:
-    """The shared ADMM driver runs exactly the arithmetic of the solver's own loop."""
+    """The shared ADMM loop runs exactly the arithmetic of the blocked loop
+    written out, and stays where the solver's own loop put it."""
 
     @pytest.mark.parametrize("dims", [(30, 48, 50), (31, 48, 114)])
     @pytest.mark.parametrize("rate", [0.5, 0.9])
@@ -706,12 +947,40 @@ class TestParityWithOwnLoop:
     def test_bit_identical(self, dims, rate, rank):
         t, mask = parity_instance(dims, rate)
         cfg = SolverConfig(rank=rank)
-        ref, ref_history, ref_iters, ref_converged = reference_own_loop_complete(t, mask, cfg)
+        ref, ref_history, ref_iters, ref_converged = reference_blocked_complete(t, mask, cfg)
         report = complete(t, mask, cfg)
         assert np.array_equal(report.completed, ref)
         assert report.residual_history == ref_history
         assert report.iterations == ref_iters
         assert report.converged == ref_converged
+
+    def test_bit_identical_with_many_blocks(self, monkeypatch):
+        # 30x48x50 fits one default block; rows of 400 bytes cut it into 36.
+        monkeypatch.setattr(cpd_lrtc, "_BLOCK_BYTES", 40 * 400)
+        t, mask = parity_instance((30, 48, 50), 0.9)
+        cfg = SolverConfig(rank=5)
+        ref, ref_history, ref_iters, _ = reference_blocked_complete(t, mask, cfg)
+        report = complete(t, mask, cfg)
+        assert np.array_equal(report.completed, ref)
+        assert report.residual_history == ref_history
+        assert report.iterations == ref_iters
+
+    @pytest.mark.parametrize("dims", [(30, 48, 50), (31, 48, 114)])
+    @pytest.mark.parametrize("rate,rank", [(0.5, 5), (0.9, 5), (0.9, None)])
+    def test_own_loop_within_rounding(self, dims, rate, rank):
+        t, mask = parity_instance(dims, rate)
+        cfg = SolverConfig(rank=rank)
+        ref, ref_history, ref_iters, ref_converged = reference_own_loop_complete(t, mask, cfg)
+        report = complete(t, mask, cfg)
+        assert report.iterations == ref_iters
+        assert report.converged == ref_converged
+        assert rel_diff(report.completed, ref) <= 1e-10
+        history = np.array(report.residual_history)
+        assert np.max(np.abs(history - ref_history) / np.array(ref_history)) <= 1e-8
+
+    @pytest.mark.parametrize("dims", [(30, 48, 50), (31, 48, 114)])
+    def test_own_loop_within_rounding_sensitivity_at_default_rank(self, dims):
+        assert_within_rounding_sensitivity(reference_own_loop_complete, dims)
 
 
 def svd_path_reference(monkeypatch):

@@ -151,6 +151,31 @@ class TestCompleteHalrtc:
             complete_halrtc(t, mask, HalrtcConfig(max_iters=10, epsilon=1e-9))
 
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_change_too_large_to_square_names_the_iteration(self, monkeypatch, rng):
+        # The step measures its own change: from iteration 3 on every estimate
+        # is finite but near 1e200, so the new X is finite and only the square
+        # of its distance from the old one overflows.
+        calls = []
+        threshold = halrtc.svt
+
+        def huge(m, tau):
+            calls.append(None)
+            out = threshold(m, tau)
+            if len(calls) >= 7:
+                out[...] = 1e200
+            return out
+
+        monkeypatch.setattr(halrtc, "svt", huge)
+        t = rng.standard_normal((8, 7, 6))
+        mask = rng.random(t.shape) < 0.5
+        with pytest.raises(
+            NumericalError, match=r"^iteration 3: completion diverged to non-finite values$"
+        ):
+            complete_halrtc(t, mask, HalrtcConfig(max_iters=10, epsilon=1e-9))
+        assert len(calls) == 9
+
+
 def reference_complete_halrtc(truth, mask, cfg, threshold=svt):
     """HaLRTC with its own outer loop over the mode-n unfoldings, as it stood
     before the loop was shared with CPD-LRTC; the parity tests compare
