@@ -17,7 +17,6 @@ from .data import (
     PrefillResult,
     TensorDataset,
     derive_seed,
-    destandardize_channels,
     prefill_electrical,
     simulate_missing,
     standardize_channels,
@@ -72,35 +71,38 @@ def baseline_mean_fill(ds: TensorDataset) -> np.ndarray:
 
 
 def baseline_linear_interp(ds: TensorDataset) -> np.ndarray:
-    """Interpolate missing entries linearly along the slot axis, extending edges."""
-    out = ds.tensor.copy()
+    """Interpolate missing entries linearly along the slot axis, extending edges.
+
+    A (day, channel) series with no observed entry keeps the channel's
+    observed mean, as :func:`baseline_mean_fill` gives it.
+    """
+    out = baseline_mean_fill(ds)
     slots = np.arange(ds.dims[1])
     for d in range(ds.dims[0]):
-        for c, label in enumerate(ds.channel_labels):
+        for c in range(ds.dims[2]):
             m = ds.mask[d, :, c]
-            if m.all():
-                continue
-            if not m.any():
-                raise DataError(
-                    f"day {d + 1}, channel {label!r}: no observed entries to interpolate"
-                )
-            out[d, ~m, c] = np.interp(slots[~m], slots[m], ds.tensor[d, m, c])
+            if m.any() and not m.all():
+                out[d, ~m, c] = np.interp(slots[~m], slots[m], ds.tensor[d, m, c])
     return out
 
 
 @dataclass(frozen=True, eq=False)
 class CompletionOutcome:
-    """A completed tensor in original units plus the report of the solver or fill call.
+    """The report of the solver or fill call, its completion in the dataset's units.
 
-    A baseline's report has 0 iterations, ``converged=True``, an empty
-    history and no ``svd_shapes``.
+    ``report.completed`` (also reachable as :attr:`completed`) holds the
+    dataset's observed entries exactly. A baseline's report has 0
+    iterations, ``converged=True``, an empty history and no ``svd_shapes``.
     """
 
     method: str
-    completed: np.ndarray
     report: cpd_lrtc.CompletionReport
     prefill: PrefillResult | None
     standardized: bool
+
+    @property
+    def completed(self) -> np.ndarray:
+        return self.report.completed
 
     @property
     def iterations(self) -> int:
@@ -119,10 +121,11 @@ def complete_dataset(
 
     Multi-measurement datasets are pre-filled through the power identity
     (unless ``prefill=False``; ``prefill=True`` on another layout raises
-    ``ValueError``) and standardized per channel before solving. The output
-    is mapped back to original units, clipped to the ``ELECTRICAL_RANGES``
-    that :func:`~meterfill.data.load_dataset` enforces where the channels
-    are electrical, and has the input's observed entries re-imposed exactly.
+    ``ValueError``) and standardized per channel before solving. The
+    completion is then mapped back in place: to the dataset's units,
+    clipped to the ``ELECTRICAL_RANGES`` that
+    :func:`~meterfill.data.load_dataset` enforces where the channels are
+    electrical, and with the input's observed entries re-imposed exactly.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
@@ -144,22 +147,17 @@ def complete_dataset(
         start = time.perf_counter()
         filled = fill(work)
         report = cpd_lrtc.CompletionReport(filled, 0, True, (), time.perf_counter() - start, ())
+    # Each solver and fill returns a new array, so the mapping back writes into it.
     completed = report.completed
     if standardized:
-        completed = destandardize_channels(completed, means, stds)
+        completed *= stds
+        completed += means
     if multi:
         # The truth lies in these ranges, so clipping raises no entry's error.
         bounds = [ELECTRICAL_RANGES.get(c, (-np.inf, np.inf)) for c in ds.channel_labels]
-        completed = np.clip(completed, *np.array(bounds).T)
-
-    completed = np.where(ds.mask, ds.tensor, completed)
-    return CompletionOutcome(
-        method=method,
-        completed=completed,
-        report=report,
-        prefill=pre,
-        standardized=standardized,
-    )
+        np.clip(completed, *np.array(bounds).T, out=completed)
+    np.copyto(completed, ds.tensor, where=ds.mask)
+    return CompletionOutcome(method=method, report=report, prefill=pre, standardized=standardized)
 
 
 @dataclass(frozen=True)
@@ -202,8 +200,8 @@ def run_benchmark(
     fair. RSE is always computed against the pre-masking ground truth on
     the simulated missing set, in original units. A method that cannot
     fill a masked dataset (a :class:`~meterfill.data.DataError`, such as a
-    baseline meeting a day's series with no observed entry to interpolate)
-    fails only its own cell.
+    baseline meeting a channel with no observed entry) fails only its own
+    cell.
     """
     if not ds.fully_observed:
         raise ValueError("run_benchmark needs a fully observed dataset as ground truth")

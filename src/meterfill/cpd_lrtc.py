@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_ops import as_mask, as_tensor, fro_norm, khatri_rao, project
+from .tensor_ops import as_mask, as_tensor, fro_norm, khatri_rao
 
 # Not called here; kept reachable as ``cpd_lrtc.unfold`` for code that looks it up on this module.
 from .tensor_ops import unfold  # noqa: F401
@@ -365,19 +365,20 @@ def update_multipliers(state: FactorSet, mu: float) -> FactorSet:
     return FactorSet(U=state.U, M=state.M, Y=y)
 
 
-def _observed_input(truth, mask) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Validated tensor and mask, and the observed entries found once per solve.
+def _observed_input(truth, mask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first iterate and the observed entries, found once per solve.
 
-    Returns ``(t, m, observed_idx, observed)``: the flat C-order positions of
-    the observed entries, as :func:`completion_blocks` takes them, and their
-    values. The mask must select at least one entry.
+    Returns ``(x0, observed_idx, observed)``: a new tensor holding the
+    observed entries of the validated ``truth`` and zeros elsewhere, the flat
+    C-order positions of the observed entries, as :func:`completion_blocks`
+    takes them, and their values. The mask must select at least one entry.
     """
     t = as_tensor(truth)
     m = as_mask(mask, t.shape)
     observed_idx = np.flatnonzero(m)
     if not observed_idx.size:
         raise ValueError("mask selects no observed entries")
-    return t, m, observed_idx, t[m]
+    return np.where(m, t, 0.0), observed_idx, t[m]
 
 
 def _run_admm(x: np.ndarray, cfg, mu: float, step, svd_shapes) -> CompletionReport:
@@ -428,12 +429,11 @@ def complete(truth, mask, cfg: SolverConfig | None = None) -> CompletionReport:
     ``mask`` marks the observed positions and must select at least one entry.
     """
     cfg = cfg if cfg is not None else SolverConfig()
-    t, m, observed_idx, observed = _observed_input(truth, mask)
-    rank = cfg.rank if cfg.rank is not None else min(20, min(t.shape))
-    state = init_factors(t.shape, rank, np.random.default_rng(cfg.seed))
-    x = project(t, m)
-    blocks = completion_blocks(t.shape, observed_idx, observed)
-    z = x.reshape(-1, t.shape[2]) @ state.U[2]
+    x, observed_idx, observed = _observed_input(truth, mask)
+    rank = cfg.rank if cfg.rank is not None else min(20, min(x.shape))
+    state = init_factors(x.shape, rank, np.random.default_rng(cfg.seed))
+    blocks = completion_blocks(x.shape, observed_idx, observed)
+    z = x.reshape(-1, x.shape[2]) @ state.U[2]
 
     def step(x, mu):
         nonlocal state
@@ -443,4 +443,4 @@ def complete(truth, mask, cfg: SolverConfig | None = None) -> CompletionReport:
         state = update_multipliers(state, mu)
         return x, change
 
-    return _run_admm(x, cfg, cfg.mu0, step, tuple((int(d), rank) for d in t.shape))
+    return _run_admm(x, cfg, cfg.mu0, step, tuple((int(d), rank) for d in x.shape))

@@ -485,7 +485,3 @@ def standardize_channels(ds: TensorDataset) -> tuple[TensorDataset, np.ndarray, 
     scaled = np.where(ds.mask, (ds.tensor - means[None, None, :]) / stds[None, None, :], 0.0)
     return replace(ds, tensor=scaled), means, stds
 
-
-def destandardize_channels(tensor: np.ndarray, means: np.ndarray, stds: np.ndarray) -> np.ndarray:
-    """Invert :func:`standardize_channels` on a completed tensor."""
-    return tensor * stds[None, None, :] + means[None, None, :]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpd_lrtc import CompletionReport, _check_admm_fields, _observed_input, _run_admm, svt
-from .tensor_ops import fro_norm, project
+from .tensor_ops import fro_norm
 
 
 @dataclass(frozen=True)
@@ -61,10 +61,9 @@ def complete_halrtc(truth, mask, cfg: HalrtcConfig | None = None) -> CompletionR
     then step the duals by the remaining mode residuals ``mu (X - M_n)``.
     """
     cfg = cfg if cfg is not None else HalrtcConfig()
-    t, m, observed_idx, observed = _observed_input(truth, mask)
-    x = project(t, m)
+    x, observed_idx, observed = _observed_input(truth, mask)
     mu0 = cfg.mu0 if cfg.mu0 is not None else 1.0 / max(fro_norm(x), 1e-12)
-    ys = [np.zeros(t.shape) for _ in range(3)]
+    ys = [np.zeros(x.shape) for _ in range(3)]
 
     def step(x, mu):
         ms = [_shrink(x + y / mu, n, cfg.alpha[n] / mu) for n, y in enumerate(ys)]
@@ -79,4 +78,4 @@ def complete_halrtc(truth, mask, cfg: HalrtcConfig | None = None) -> CompletionR
         with np.errstate(over="ignore"):
             return x_new, fro_norm(np.subtract(x, x_new, out=x))
 
-    return _run_admm(x, cfg, mu0, step, tuple((d, t.size // d) for d in t.shape))
+    return _run_admm(x, cfg, mu0, step, tuple((d, x.size // d) for d in x.shape))

@@ -1,5 +1,7 @@
 """Metrics, baselines, and the benchmark harness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,16 +16,20 @@ from meterfill.benchmark import (
     rse,
     run_benchmark,
 )
-from meterfill.cpd_lrtc import SolverConfig
+from meterfill.cpd_lrtc import SolverConfig, complete
 from meterfill.data import (
+    ELECTRICAL_RANGES,
+    LAYOUT_MULTI_MEASUREMENT,
     DataError,
     SynthSpec,
     derive_seed,
+    prefill_electrical,
     simulate_missing,
+    standardize_channels,
     synth_electrical_tensor,
     synth_load_tensor,
 )
-from meterfill.halrtc import HalrtcConfig
+from meterfill.halrtc import HalrtcConfig, complete_halrtc
 
 
 def rse_bruteforce(completed, truth, mask):
@@ -118,11 +124,26 @@ class TestBaselines:
         out = baseline_linear_interp(make_dataset(tensor, mask))
         assert out[0, 0, 0] == 6.0
 
-    def test_interp_empty_series(self):
-        mask = np.ones((2, 3, 1), bool)
+    def test_interp_empty_series_keeps_channel_mean(self):
+        tensor = np.zeros((3, 3, 2))
+        tensor[:, :, 0] = [[1.0, 2.0, 3.0], [2.0, 0.0, 5.0], [11.0, 11.0, 11.0]]
+        tensor[:, :, 1] = np.arange(9.0).reshape(3, 3)
+        mask = np.ones(tensor.shape, bool)
         mask[0, :, 0] = False
-        with pytest.raises(DataError):
-            baseline_linear_interp(make_dataset(np.ones((2, 3, 1)), mask))
+        mask[1, 1, 0] = False
+        out = baseline_linear_interp(make_dataset(tensor, mask))
+        # Channel 0's observed mean is (2 + 5 + 3 * 11) / 5 = 8; slot 2 of day 2
+        # lies halfway between 2 and 5.
+        expected = tensor.copy()
+        expected[0, :, 0] = 8.0
+        expected[1, 1, 0] = 3.5
+        assert np.array_equal(out, expected)
+
+    def test_interp_empty_channel(self):
+        mask = np.ones((2, 3, 2), bool)
+        mask[:, :, 1] = False
+        with pytest.raises(DataError, match="channel 'user_002' has no observed entries"):
+            baseline_linear_interp(make_dataset(np.ones((2, 3, 2)), mask))
 
 
 class TestCompleteDataset:
@@ -160,6 +181,80 @@ class TestCompleteDataset:
             complete_dataset(ds, "kalman")
 
 
+def reference_complete_dataset(ds, method, *, cpd_cfg=None, prefill=None):
+    """complete_dataset's completion, mapped back by a new tensor per step.
+
+    Destandardizing, clipping and re-imposing the observed entries each
+    allocate here, as they did before complete_dataset wrote them into the
+    solver's own array.
+    """
+    multi = ds.layout == LAYOUT_MULTI_MEASUREMENT
+    if prefill is None:
+        prefill = multi
+    work = prefill_electrical(ds).dataset if prefill else ds
+    standardized = multi and method in ("cpd_lrtc", "halrtc")
+    if standardized:
+        work, means, stds = standardize_channels(work)
+    if method == "cpd_lrtc":
+        completed = complete(work.tensor, work.mask, cpd_cfg).completed
+    elif method == "halrtc":
+        completed = complete_halrtc(work.tensor, work.mask).completed
+    else:
+        completed = {"mean": baseline_mean_fill, "interp": baseline_linear_interp}[method](work)
+    if standardized:
+        completed = completed * stds[None, None, :] + means[None, None, :]
+    if multi:
+        bounds = [ELECTRICAL_RANGES.get(c, (-np.inf, np.inf)) for c in ds.channel_labels]
+        completed = np.clip(completed, *np.array(bounds).T)
+    return np.where(ds.mask, ds.tensor, completed)
+
+
+def _users_instance():
+    sr = synth_load_tensor(SynthSpec(dims=(10, 24, 12), rank=3), seed=7)
+    return simulate_missing(sr.dataset, 0.5, seed=3)
+
+
+def _electrical_instance():
+    # With pre-fill, the CPD-LRTC completion has 3 entries outside
+    # ELECTRICAL_RANGES before clipping.
+    return simulate_missing(synth_electrical_tensor(7, 24, seed=1), 0.8, seed=2)
+
+
+MAPPING_CASES = [
+    pytest.param(_users_instance, None, id="users"),
+    pytest.param(_electrical_instance, None, id="electrical-prefill"),
+    pytest.param(_electrical_instance, False, id="electrical-no-prefill"),
+]
+
+
+class TestMappingBack:
+    @pytest.mark.parametrize("method", ["cpd_lrtc", "halrtc", "mean", "interp"])
+    @pytest.mark.parametrize("instance,prefill", MAPPING_CASES)
+    def test_matches_reference(self, instance, prefill, method):
+        masked = instance()
+        tensor, mask = masked.tensor.copy(), masked.mask.copy()
+        cfg = SolverConfig(rank=3)
+        out = complete_dataset(masked, method, cpd_cfg=cfg, prefill=prefill)
+        ref = reference_complete_dataset(masked, method, cpd_cfg=cfg, prefill=prefill)
+        assert np.array_equal(out.completed, ref)
+        assert out.completed is out.report.completed
+        assert np.array_equal(masked.tensor, tensor) and np.array_equal(masked.mask, mask)
+
+    def test_mean_fill_peak_memory(self):
+        # The fill's own copy of the tensor is the completion: mapping back
+        # allocates no second one (2.0 tensors when re-imposing the observed
+        # entries made a new array).
+        sr = synth_load_tensor(SynthSpec(dims=(31, 48, 114), rank=3), seed=7)
+        masked = simulate_missing(sr.dataset, 0.5, derive_seed(11, "mask", "0.5"))
+        tracemalloc.start()
+        try:
+            complete_dataset(masked, "mean")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * masked.tensor.nbytes
+
+
 @pytest.fixture(scope="module")
 def ds():
     return synth_load_tensor(SynthSpec(dims=(10, 12, 6), rank=2), seed=5).dataset
@@ -194,19 +289,22 @@ class TestRunBenchmark:
         assert [r.rse_percent for r in a] == [r.rse_percent for r in b]
 
     def test_baseline_data_error_fails_only_its_cell(self):
-        # At 90% missing some day's 24-slot series of some channel is unobserved.
-        ds = synth_load_tensor(SynthSpec(dims=(10, 24, 8), rank=2), seed=5).dataset
-        results = run_benchmark(ds, [0.2, 0.9], ["mean", "interp"], seed=4)
+        # At 99% missing some channel of the 2x24x8 tensor is unobserved, so
+        # neither baseline can fill that rate; the 20% cells are scored.
+        ds = synth_load_tensor(SynthSpec(dims=(2, 24, 8), rank=2), seed=5).dataset
+        results = run_benchmark(ds, [0.2, 0.99], ["mean", "interp"], seed=4)
         cells = {(r.missing_rate, r.method): r for r in results}
-        failed = cells[0.9, "interp"]
-        with pytest.raises(DataError) as err:
-            baseline_linear_interp(simulate_missing(ds, 0.9, derive_seed(4, "mask", "0.9")))
-        assert failed.error == str(err.value)
-        assert np.isnan(failed.rse_percent) and np.isnan(failed.wall_time_s)
-        for key in [(0.2, "mean"), (0.2, "interp"), (0.9, "mean")]:
+        masked = simulate_missing(ds, 0.99, derive_seed(4, "mask", "0.99"))
+        for method, fill in [("mean", baseline_mean_fill), ("interp", baseline_linear_interp)]:
+            failed = cells[0.99, method]
+            with pytest.raises(DataError) as err:
+                fill(masked)
+            assert failed.error == str(err.value)
+            assert np.isnan(failed.rse_percent) and np.isnan(failed.wall_time_s)
+            assert f"{method},0.99,nan,nan,0" in results_to_csv(results).splitlines()
+        for key in [(0.2, "mean"), (0.2, "interp")]:
             assert not cells[key].error and np.isfinite(cells[key].rse_percent)
-        assert "interp,0.9,nan,nan,0" in results_to_csv(results).splitlines()
-        assert format_table(results).splitlines()[2].split()[3:] == ["failed", "-"]
+        assert format_table(results).splitlines()[2].split()[1:] == ["failed", "-"] * 2
 
     def test_result_validation(self):
         with pytest.raises(ValueError):

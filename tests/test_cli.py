@@ -395,21 +395,34 @@ class TestBench:
         assert not out.exists()
 
     def test_failed_baseline_cell_leaves_the_others_scored(self, tmp_path, capsys):
-        # At 80% missing one day's series of one channel has no observed
-        # entry, so LinearInterp cannot fill that cell; the rest is scored.
+        # At 99% missing channel user_002 has no observed entry, so neither
+        # baseline can fill that rate; the 20% cells are scored.
         out = tmp_path / "b.csv"
-        assert run_cli("bench", "--dims", "10x24x8", "--methods", "mean,interp",
-                       "--rates", "0.2,0.8", "--output", out) == 0
+        assert run_cli("bench", "--dims", "2x24x8", "--methods", "mean,interp",
+                       "--rates", "0.2,0.99", "--output", out) == 0
         captured = capsys.readouterr()
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert [(r[0], r[1]) for r in rows] == [
-            ("mean", "0.2"), ("interp", "0.2"), ("mean", "0.8"), ("interp", "0.8")]
-        assert rows[3][2:4] == ["nan", "nan"]
-        assert all(np.isfinite(float(r[2])) for r in rows[:3])
+            ("mean", "0.2"), ("interp", "0.2"), ("mean", "0.99"), ("interp", "0.99")]
+        assert rows[2][2:4] == rows[3][2:4] == ["nan", "nan"]
+        assert all(np.isfinite(float(r[2])) for r in rows[:2])
         assert captured.err.splitlines() == [
-            "warning: LinearInterp failed at 80% missing: "
-            "day 2, channel 'user_002': no observed entries to interpolate"]
-        assert captured.out.splitlines()[2].split()[3:] == ["failed", "-"]
+            f"warning: {name} failed at 99% missing: channel 'user_002' has no observed entries"
+            for name in ("MeanFill", "LinearInterp")]
+        assert captured.out.splitlines()[2].split()[1:] == ["failed", "-"] * 2
+
+    def test_interp_scores_the_papers_shape_at_90_percent(self, tmp_path, capsys):
+        # 24 of the 3534 day/channel series are fully hidden by this mask;
+        # each keeps its channel's mean instead of failing the cell.
+        out = tmp_path / "b.csv"
+        assert run_cli("bench", "--dims", "31x48x114", "--methods", "mean,interp",
+                       "--rates", "0.9", "--seed", "0", "--output", out) == 0
+        captured = capsys.readouterr()
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [(r[0], r[1]) for r in rows] == [("mean", "0.9"), ("interp", "0.9")]
+        assert all(np.isfinite(float(r[2])) for r in rows)
+        assert captured.err == ""
+        assert "failed" not in captured.out
 
     def test_unknown_method_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit):

@@ -641,6 +641,17 @@ class TestComplete:
         report = complete(t, mask, SolverConfig(rank=2, max_iters=7, epsilon=1e-9))
         assert np.array_equal(project(report.completed, mask), project(t, mask))
 
+    @pytest.mark.parametrize("observed", [0.6, 1.0])
+    def test_truth_untouched_and_not_shared(self, rng, observed):
+        # complete_dataset maps the completion back in place, so it must be
+        # the solver's own array.
+        t = rng.standard_normal((8, 7, 6))
+        mask = rng.random(t.shape) < observed
+        before = t.copy()
+        report = complete(t, mask, SolverConfig(rank=2, max_iters=7, epsilon=1e-9))
+        assert np.array_equal(t, before)
+        assert not np.shares_memory(report.completed, t)
+
     def test_deterministic_reports(self):
         sr = synth_load_tensor(SynthSpec(dims=(10, 12, 8), rank=2), seed=3)
         masked = simulate_missing(sr.dataset, 0.4, 11)

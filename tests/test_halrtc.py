@@ -76,6 +76,17 @@ class TestCompleteHalrtc:
         report = complete_halrtc(t, mask, HalrtcConfig(max_iters=6, epsilon=1e-9))
         assert np.array_equal(project(report.completed, mask), project(t, mask))
 
+    @pytest.mark.parametrize("observed", [0.6, 1.0])
+    def test_truth_untouched_and_not_shared(self, rng, observed):
+        # complete_dataset maps the completion back in place, so it must be
+        # the solver's own array.
+        t = rng.standard_normal((8, 7, 6))
+        mask = rng.random(t.shape) < observed
+        before = t.copy()
+        report = complete_halrtc(t, mask, HalrtcConfig(max_iters=6, epsilon=1e-9))
+        assert np.array_equal(t, before)
+        assert not np.shares_memory(report.completed, t)
+
     def test_svd_operands_are_full_unfoldings(self, rng):
         t = rng.standard_normal((6, 8, 10))
         mask = rng.random(t.shape) < 0.7
