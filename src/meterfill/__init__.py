@@ -2,7 +2,6 @@
 
 from .benchmark import (
     BenchResult,
-    CompletionOutcome,
     baseline_linear_interp,
     baseline_mean_fill,
     complete_dataset,

@@ -1,11 +1,14 @@
-"""Error metrics, naive baselines, and the missing-rate benchmark harness."""
+"""Error metrics, naive baselines, dataset-level completion, and the benchmark harness.
+
+:func:`complete_dataset` returns the method's own :class:`~meterfill.cpd_lrtc.CompletionReport`.
+"""
 
 from __future__ import annotations
 
 import io
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -14,7 +17,6 @@ from .data import (
     ELECTRICAL_RANGES,
     LAYOUT_MULTI_MEASUREMENT,
     DataError,
-    PrefillResult,
     TensorDataset,
     derive_seed,
     prefill_electrical,
@@ -86,29 +88,6 @@ def baseline_linear_interp(ds: TensorDataset) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class CompletionOutcome:
-    """The report of the solver or fill call, its completion in the dataset's units.
-
-    ``report.completed`` (also reachable as :attr:`completed`) holds the
-    dataset's observed entries exactly. A baseline's report has 0
-    iterations, ``converged=True``, an empty history and no ``svd_shapes``.
-    """
-
-    method: str
-    report: cpd_lrtc.CompletionReport
-    prefill: PrefillResult | None
-    standardized: bool
-
-    @property
-    def completed(self) -> np.ndarray:
-        return self.report.completed
-
-    @property
-    def iterations(self) -> int:
-        return self.report.iterations
-
-
 def complete_dataset(
     ds: TensorDataset,
     method: str,
@@ -116,7 +95,7 @@ def complete_dataset(
     cpd_cfg: cpd_lrtc.SolverConfig | None = None,
     halrtc_cfg: halrtc.HalrtcConfig | None = None,
     prefill: bool | None = None,
-) -> CompletionOutcome:
+) -> cpd_lrtc.CompletionReport:
     """Run one method over a masked dataset, handling pre-fill and scaling.
 
     Multi-measurement datasets are pre-filled through the power identity
@@ -126,6 +105,8 @@ def complete_dataset(
     clipped to the ``ELECTRICAL_RANGES`` that
     :func:`~meterfill.data.load_dataset` enforces where the channels are
     electrical, and with the input's observed entries re-imposed exactly.
+    The method's report is returned with ``prefill`` and ``standardized`` set;
+    a baseline's has ``converged=True``, 0 iterations and no ``svd_shapes``.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
@@ -146,7 +127,7 @@ def complete_dataset(
         fill = baseline_mean_fill if method == "mean" else baseline_linear_interp
         start = time.perf_counter()
         filled = fill(work)
-        report = cpd_lrtc.CompletionReport(filled, 0, True, (), time.perf_counter() - start, ())
+        report = cpd_lrtc.CompletionReport(filled, True, (), time.perf_counter() - start)
     # Each solver and fill returns a new array, so the mapping back writes into it.
     completed = report.completed
     if standardized:
@@ -157,7 +138,7 @@ def complete_dataset(
         bounds = [ELECTRICAL_RANGES.get(c, (-np.inf, np.inf)) for c in ds.channel_labels]
         np.clip(completed, *np.array(bounds).T, out=completed)
     np.copyto(completed, ds.tensor, where=ds.mask)
-    return CompletionOutcome(method=method, report=report, prefill=pre, standardized=standardized)
+    return replace(report, prefill=pre, standardized=standardized)
 
 
 @dataclass(frozen=True)
@@ -201,42 +182,46 @@ def run_benchmark(
     the simulated missing set, in original units. A method that cannot
     fill a masked dataset (a :class:`~meterfill.data.DataError`, such as a
     baseline meeting a channel with no observed entry) fails only its own
-    cell.
+    cell. A rate or method given twice is refused, as the table shows it once.
     """
     if not ds.fully_observed:
         raise ValueError("run_benchmark needs a fully observed dataset as ground truth")
     rates = [float(r) for r in rates]
     if not rates:
         raise ValueError("no missing rates given")
-    for r in rates:
+    for k, r in enumerate(rates):
         if not 0 < r < 1:
             raise ValueError(f"missing rate must lie in (0, 1) for scoring, got {r}")
+        if r in rates[:k]:
+            raise ValueError(f"missing rate {r:g} given twice")
     methods = list(methods)
     if not methods:
         raise ValueError("no methods given")
-    for m in methods:
+    for k, m in enumerate(methods):
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
+        if m in methods[:k]:
+            raise ValueError(f"method {m!r} given twice")
 
     results = []
     for rate in rates:
         masked = simulate_missing(ds, rate, derive_seed(seed, "mask", f"{rate:.12g}"))
         for method in methods:
             try:
-                outcome = complete_dataset(
+                report = complete_dataset(
                     masked, method, cpd_cfg=cpd_cfg, halrtc_cfg=halrtc_cfg, prefill=prefill
                 )
             except DataError as err:
                 results.append(BenchResult(method, rate, math.nan, math.nan, 0, error=str(err)))
                 continue
-            score = rse(outcome.completed, ds.tensor, masked.mask, scope=scope)
+            score = rse(report.completed, ds.tensor, masked.mask, scope=scope)
             results.append(
                 BenchResult(
                     method=method,
                     missing_rate=rate,
                     rse_percent=score,
-                    wall_time_s=outcome.report.wall_time,
-                    iterations=outcome.iterations,
+                    wall_time_s=report.wall_time,
+                    iterations=report.iterations,
                 )
             )
     return results

@@ -124,35 +124,34 @@ def _synthesize(args, generator: dict, seed: int) -> data.TensorDataset:
     return data.synth_load_tensor(spec, seed).dataset
 
 
-def _report_payload(ds, outcome) -> dict:
-    report = outcome.report
+def _report_payload(ds, method: str, report) -> dict:
     payload = {
-        "method": outcome.method,
+        "method": method,
         "dims": list(ds.dims),
         "observed_entries": ds.n_observed,
-        "standardized": outcome.standardized,
+        "standardized": report.standardized,
         "iterations": report.iterations,
         "converged": report.converged,
         "final_residual": report.residual_history[-1] if report.iterations else None,
         "residual_history": list(report.residual_history),
         "wall_time_s": report.wall_time,
     }
-    if outcome.prefill is not None:
-        payload["prefilled"] = outcome.prefill.filled
-        payload["prefill_skipped_small_divisor"] = outcome.prefill.skipped_small_divisor
-        payload["prefill_skipped_inconsistent"] = outcome.prefill.skipped_inconsistent
+    if report.prefill is not None:
+        payload["prefilled"] = report.prefill.filled
+        payload["prefill_skipped_small_divisor"] = report.prefill.skipped_small_divisor
+        payload["prefill_skipped_inconsistent"] = report.prefill.skipped_inconsistent
     return payload
 
 
 def cmd_complete(args) -> int:
     cpd_cfg, hal_cfg = _solver_configs(args, [args.method])
     ds = data.load_dataset(args.input)
-    outcome = benchmark.complete_dataset(
+    report = benchmark.complete_dataset(
         ds, args.method, cpd_cfg=cpd_cfg, halrtc_cfg=hal_cfg, prefill=args.prefill
     )
-    completed = dataclasses.replace(ds, tensor=outcome.completed, mask=np.ones_like(ds.mask))
+    completed = dataclasses.replace(ds, tensor=report.completed, mask=np.ones_like(ds.mask))
     data.save_csv(completed, args.output)
-    payload = _report_payload(ds, outcome)
+    payload = _report_payload(ds, args.method, report)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
@@ -228,6 +227,8 @@ def cmd_eval(args) -> int:
     if not completed.fully_observed:
         raise ValueError(f"{args.input} is not completed: {(~completed.mask).sum()} values missing")
     truth = data.load_dataset(args.truth)
+    if not truth.fully_observed:
+        raise ValueError(f"{args.truth} is not a full truth: {(~truth.mask).sum()} values missing")
     masked = data.load_dataset(args.masked)
     channels = truth.channel_labels
     for path, ds in ((args.input, completed), (args.masked, masked)):

@@ -49,10 +49,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .tensor_ops import as_mask, as_tensor, fro_norm, khatri_rao
+from .tensor_ops import as_mask, as_tensor, check_int, fro_norm, khatri_rao
+
+if TYPE_CHECKING:
+    from .data import PrefillResult
 
 # Not called here; kept reachable as ``cpd_lrtc.unfold`` for code that looks it up on this module.
 from .tensor_ops import unfold  # noqa: F401
@@ -79,12 +83,6 @@ _GRAM_MIN_EIGENVALUE = np.finfo(np.float64).tiny / _GRAM_MIN_RATIO**2
 _BLOCK_BYTES = 512 * 1024
 
 
-def _check_int(value, name: str, low: int) -> None:
-    """Refuse a value that is not an integer (bools included) or lies below ``low``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-
-
 def _check_admm_fields(cfg) -> None:
     """Validate the fields both solver configs share; normalizes ``alpha`` to floats.
 
@@ -104,7 +102,7 @@ def _check_admm_fields(cfg) -> None:
         raise ValueError("rho must be finite and >= 1")
     if not 0 < cfg.epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
-    _check_int(cfg.max_iters, "max_iters", 1)
+    check_int(cfg.max_iters, "max_iters", 1)
 
 
 @dataclass(frozen=True)
@@ -134,10 +132,10 @@ class SolverConfig:
             raise ValueError("mu0 must be a positive number")
         _check_admm_fields(self)
         if self.rank is not None:
-            _check_int(self.rank, "rank", 1)
+            check_int(self.rank, "rank", 1)
         if not 0 < self.lam < np.inf:
             raise ValueError("lam must be positive and finite")
-        _check_int(self.seed, "seed", 0)
+        check_int(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,22 +170,25 @@ class FactorSet:
 class CompletionReport:
     """Outcome of one completion solve, or of a baseline fill with no iterations.
 
-    residual_history holds the per-iteration relative change of X;
-    svd_shapes lists each mode's ``I_n x J`` matrix for singular value
-    thresholding (:func:`svt`); HaLRTC submits its columns in another order,
-    and its mode-3 matrix transposed.
+    residual_history holds the relative change of X per iteration, so its
+    length is :attr:`iterations`; svd_shapes lists each mode's ``I_n x J``
+    matrix for singular value thresholding (:func:`svt`), HaLRTC's with its
+    columns in another order and its mode-3 matrix transposed. Only
+    :func:`~meterfill.benchmark.complete_dataset` sets ``prefill`` (the
+    power-identity pre-fill it ran) and ``standardized`` (per-channel scaling).
     """
 
     completed: np.ndarray
-    iterations: int
     converged: bool
     residual_history: tuple[float, ...]
     wall_time: float
-    svd_shapes: tuple[tuple[int, int], ...]
+    svd_shapes: tuple[tuple[int, int], ...] = ()
+    prefill: PrefillResult | None = None
+    standardized: bool = False
 
-    def __post_init__(self):
-        if len(self.residual_history) != self.iterations:
-            raise ValueError("residual_history length must equal iterations")
+    @property
+    def iterations(self) -> int:
+        return len(self.residual_history)
 
 
 def svt(m: np.ndarray, tau: float) -> np.ndarray:
@@ -303,13 +304,14 @@ def completion_blocks(dims, observed_idx: np.ndarray, observed: np.ndarray) -> t
     ``observed_idx`` holds strictly increasing flat C-order positions in a
     tensor of ``dims``, as ``np.flatnonzero(mask)`` gives them, and
     ``observed`` the data values at those positions. Each block is
-    ``(start, stop, idx, values, scratch)``: rows ``start:stop`` of the free
-    ``(I1*I2, I3)`` matricization, about ``_BLOCK_BYTES`` of them and at least
-    one, the slices of ``observed_idx`` and ``observed`` inside them, and a
-    ``(stop - start, I3)`` view of one scratch buffer that all blocks share.
-    The buffer is allocated here, once per solve: allocated per call, beside
-    the Khatri-Rao product, it took a 30x48x50 rank-20 update_completion from
-    0.4 to about 1 ms.
+    ``(start, stop, offsets, values, scratch)``: rows ``start:stop`` of the
+    free ``(I1*I2, I3)`` matricization, about ``_BLOCK_BYTES`` of them and at
+    least one, their observed positions as offsets from ``start * I3`` (the
+    slices of ``observed_idx``, shifted in place: a copy would add half a
+    tensor to the peak at 50% missing) and values, and a ``(stop - start, I3)``
+    view of one scratch buffer that all blocks share. The buffer is allocated
+    here, once per solve: allocated per call, beside the Khatri-Rao product,
+    it took a 30x48x50 rank-20 update_completion from 0.4 to about 1 ms.
     """
     i1, i2, i3 = (int(d) for d in dims)
     if observed_idx.shape != observed.shape:
@@ -322,10 +324,12 @@ def completion_blocks(dims, observed_idx: np.ndarray, observed: np.ndarray) -> t
     bounds = np.append(np.arange(0, i1 * i2, rows), i1 * i2)
     cuts = np.searchsorted(observed_idx, bounds * i3)
     scratch = np.empty((rows, i3))
-    return tuple(
-        (int(start), int(stop), observed_idx[a:b], observed[a:b], scratch[: stop - start])
-        for start, stop, a, b in zip(bounds[:-1], bounds[1:], cuts[:-1], cuts[1:])
-    )
+    blocks = []
+    for start, stop, a, b in zip(bounds[:-1], bounds[1:], cuts[:-1], cuts[1:]):
+        offsets = observed_idx[a:b]
+        offsets -= start * i3
+        blocks.append((int(start), int(stop), offsets, observed[a:b], scratch[: stop - start]))
+    return tuple(blocks)
 
 
 def update_completion(state: FactorSet, x: np.ndarray, z: np.ndarray, blocks) -> float:
@@ -347,9 +351,9 @@ def update_completion(state: FactorSet, x: np.ndarray, z: np.ndarray, blocks) ->
     squared = 0.0
     # An overflow leaves a non-finite change, which the caller reports.
     with np.errstate(over="ignore"):
-        for start, stop, idx, values, new in blocks:
+        for start, stop, offsets, values, new in blocks:
             np.matmul(kr[start:stop], u3.T, out=new)
-            new.reshape(-1)[idx - start * i3] = values
+            new.reshape(-1)[offsets] = values
             old = x3[start:stop]
             np.subtract(old, new, out=old)
             diff = old.reshape(-1)
@@ -414,7 +418,6 @@ def _run_admm(x: np.ndarray, cfg, mu: float, step, svd_shapes) -> CompletionRepo
 
     return CompletionReport(
         completed=x,
-        iterations=len(history),
         converged=converged,
         residual_history=tuple(history),
         wall_time=wall,

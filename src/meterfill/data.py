@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensor_ops import as_mask, as_tensor, cp_reconstruct, fro_norm
+from .tensor_ops import as_mask, as_tensor, check_int, cp_reconstruct, fro_norm
 
 LAYOUT_MULTI_USER = "multi_user_single_measurement"
 LAYOUT_MULTI_MEASUREMENT = "single_user_multi_measurement"
@@ -280,13 +280,14 @@ class SynthSpec:
     weight_decay: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if len(self.dims) != 3 or min(self.dims) < 1:
+        if len(self.dims) != 3:
             raise ValueError(f"dims must be three positive integers, got {self.dims}")
-        if self.rank < 1:
-            raise ValueError("rank must be positive")
-        if self.noise < 0:
-            raise ValueError("noise must be nonnegative")
+        for d in self.dims:
+            check_int(d, "each of dims", 1)
+        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        check_int(self.rank, "rank", 1)
+        if not 0 <= self.noise < np.inf:
+            raise ValueError(f"noise must be finite and nonnegative, got {self.noise!r}")
         if not 0 < self.weight_decay <= 1:
             raise ValueError("weight_decay must lie in (0, 1]")
 

@@ -39,6 +39,12 @@ def as_mask(observed, dims: Dims | None = None) -> np.ndarray:
     return m
 
 
+def check_int(value, name: str, low: int) -> None:
+    """Refuse a value that is not an integer (bools included) or lies below ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def _check_mode(n: int) -> None:
     if n not in (1, 2, 3):
         raise ValueError(f"mode index must be 1, 2, or 3, got {n}")

@@ -169,6 +169,20 @@ class TestCompleteDataset:
         out = complete_dataset(masked, "mean", prefill=False)
         assert out.prefill is None
 
+    def test_baseline_and_direct_solve_reports(self, rng):
+        # A baseline runs no iteration and thresholds nothing; a direct
+        # solve leaves the dataset-level fields at their defaults.
+        ds = make_dataset(rng.standard_normal((4, 5, 3)))
+        masked = simulate_missing(ds, 0.3, seed=2)
+        out = complete_dataset(masked, "interp")
+        assert (out.iterations, out.converged, out.residual_history, out.svd_shapes) == (
+            0, True, (), ())
+        assert out.prefill is None and not out.standardized
+        cfg = SolverConfig(rank=2, max_iters=4, epsilon=1e-12)
+        report = complete(masked.tensor, masked.mask, cfg)
+        assert report.iterations == len(report.residual_history) == 4
+        assert report.prefill is None and not report.standardized
+
     def test_prefill_requires_layout(self, rng):
         ds = make_dataset(rng.standard_normal((4, 4, 2)))
         masked = simulate_missing(ds, 0.2, seed=1)
@@ -237,7 +251,6 @@ class TestMappingBack:
         out = complete_dataset(masked, method, cpd_cfg=cfg, prefill=prefill)
         ref = reference_complete_dataset(masked, method, cpd_cfg=cfg, prefill=prefill)
         assert np.array_equal(out.completed, ref)
-        assert out.completed is out.report.completed
         assert np.array_equal(masked.tensor, tensor) and np.array_equal(masked.mask, mask)
 
     def test_mean_fill_peak_memory(self):
@@ -264,6 +277,17 @@ class TestRunBenchmark:
     def test_rate_zero_rejected(self, ds):
         with pytest.raises(ValueError):
             run_benchmark(ds, [0.0], ["mean"], seed=1)
+
+    @pytest.mark.parametrize(
+        "rates,methods,named",
+        [pytest.param([0.1, 0.2, 0.3, 0.2], ["mean"], "missing rate 0.2", id="rate"),
+         pytest.param([0.2], ["mean", "interp", "mean"], "method 'mean'", id="method")],
+    )
+    def test_repeated_rate_or_method_refused(self, ds, rates, methods, named):
+        # The table has one cell per rate and method, so a repeat would be
+        # solved twice and shown once.
+        with pytest.raises(ValueError, match=f"{named} given twice"):
+            run_benchmark(ds, rates, methods, seed=1)
 
     def test_requires_fully_observed(self, ds):
         masked = simulate_missing(ds, 0.2, seed=1)

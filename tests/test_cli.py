@@ -334,6 +334,19 @@ class TestEval:
         assert out.out == ""
         assert f"{round(0.3 * 8 * 12 * 5)} values missing" in out.err
 
+    def test_masked_truth_refused(self, tmp_path, full_csv, capsys):
+        # An empty truth value would load as 0 and be scored as the answer.
+        masked, holes, out = tmp_path / "masked.csv", tmp_path / "holes.csv", tmp_path / "done.csv"
+        run_cli("simulate", "--input", full_csv, "--output", masked, "--rate", "0.3", "--seed", "2")
+        run_cli("simulate", "--input", full_csv, "--output", holes, "--rate", "0.3", "--seed", "9")
+        run_cli("complete", "--input", masked, "--output", out, "--method", "mean")
+        capsys.readouterr()
+        assert run_cli("eval", "--input", out, "--truth", holes, "--masked", masked) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        missing = round(0.3 * 8 * 12 * 5)
+        assert f"{holes} is not a full truth: {missing} values missing" in captured.err
+
 
 class TestBench:
     def test_rows_and_determinism(self, tmp_path):
@@ -366,6 +379,13 @@ class TestBench:
         out = tmp_path / "r.csv"
         assert run_cli("bench", "--dims", "8x12x5", "--rates", "0.0,0.5",
                        "--output", out) == 1
+        assert not out.exists()
+
+    def test_repeated_rate_leaves_no_output(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert run_cli("bench", "--dims", "4x6x3", "--methods", "mean",
+                       "--rates", "0.1..0.3,0.2", "--output", out) == 1
+        assert "missing rate 0.2 given twice" in capsys.readouterr().err
         assert not out.exists()
 
     def test_electrical_layout_needs_four_channels(self, tmp_path, capsys):

@@ -10,7 +10,6 @@ from conftest import reference_svd_svt
 
 from meterfill import cpd_lrtc
 from meterfill.cpd_lrtc import (
-    CompletionReport,
     FactorSet,
     NumericalError,
     SolverConfig,
@@ -219,17 +218,6 @@ class TestConfigValidation:
                 U=(np.ones((2, 2)), np.ones((3, 3)), np.ones((4, 2))),
                 M=(np.ones((2, 2)), np.ones((3, 2)), np.ones((4, 2))),
                 Y=(np.ones((2, 2)), np.ones((3, 2)), np.ones((4, 2))),
-            )
-
-    def test_report_history_length(self):
-        with pytest.raises(ValueError):
-            CompletionReport(
-                completed=np.ones((1, 1, 1)),
-                iterations=2,
-                converged=True,
-                residual_history=(0.1,),
-                wall_time=0.0,
-                svd_shapes=((1, 1),),
             )
 
 
@@ -560,10 +548,10 @@ class TestCompletionBlocks:
         mask = np.random.default_rng(27).random(self.DIMS) < 0.5
         t, blocks = self.blocks_of(monkeypatch, 3 * 48, mask)
         idx, values = observed_of(t, mask)
-        assert np.array_equal(np.concatenate([b[2] for b in blocks]), idx)
+        assert np.array_equal(np.concatenate([b[2] + b[0] * 6 for b in blocks]), idx)
         assert np.array_equal(np.concatenate([b[3] for b in blocks]), values)
-        for start, stop, block_idx, _, scratch in blocks:
-            assert np.all((start * 6 <= block_idx) & (block_idx < stop * 6))
+        for start, stop, offsets, _, scratch in blocks:
+            assert np.all((0 <= offsets) & (offsets < (stop - start) * 6))
             assert scratch.shape == (stop - start, 6) and np.shares_memory(scratch, blocks[0][4])
 
     def test_whole_solve_does_not_depend_on_block_size(self, monkeypatch):

@@ -441,6 +441,25 @@ class TestSynth:
         with pytest.raises(ValueError):
             SynthSpec(dims=(2, 2, 2), weight_decay=0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [
+            pytest.param({"noise": math.nan}, "noise", id="nan-noise"),
+            pytest.param({"noise": math.inf}, "noise", id="inf-noise"),
+            pytest.param({"rank": 2.5}, "rank", id="float-rank"),
+            pytest.param({"rank": True}, "rank", id="bool-rank"),
+            pytest.param({"dims": (2.7, 2, 2)}, "dims", id="float-dim"),
+            pytest.param({"dims": (2, True, 2)}, "dims", id="bool-dim"),
+        ],
+    )
+    def test_spec_refuses_non_integers_and_non_finite_noise(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            SynthSpec(**{"dims": (2, 2, 2), **kwargs})
+
+    def test_spec_numpy_integers_accepted(self):
+        spec = SynthSpec(dims=np.array([3, 4, 2]), rank=np.int64(2))
+        assert spec.dims == (3, 4, 2) and all(type(d) is int for d in spec.dims)
+
     def test_electrical_identity_and_layout(self):
         ds = synth_electrical_tensor(5, 24, seed=6)
         assert ds.layout == LAYOUT_MULTI_MEASUREMENT

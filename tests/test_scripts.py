@@ -16,6 +16,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
         ("run_prefill_study.py", ["--days", "3", "--slots", "8"], "rate/%  prefilled"),
         ("run_efficiency_check.py", ["--dims", "6", "8", "5", "--rank", "3", "--iters", "5"],
          "SVT operands"),
+        ("output_digests.py", ["--dims", "6", "8", "5"], "completion_sha256"),
     ],
 )
 def test_script_runs(script, args, header, monkeypatch, capsys):
