@@ -7,8 +7,9 @@ exactly when their printed lines are equal, so a refactor is checked by
 running this script on both and diffing the output.
 
 The cases are all four methods on a rank-3 users tensor at 50% and 90%
-missing, CPD-LRTC at rank 5 and at its default rank, and all four methods on
-a single-user electrical tensor at 50% missing with pre-fill on and off.
+missing, CPD-LRTC at rank 5 and at its default rank, HaLRTC also with
+``mu0=0.5`` for a fixed 40 iterations, and all four methods on a single-user
+electrical tensor at 50% missing with pre-fill on and off.
 """
 
 import os
@@ -25,6 +26,7 @@ import numpy as np
 
 from meterfill.benchmark import complete_dataset
 from meterfill.cpd_lrtc import SolverConfig
+from meterfill.halrtc import HalrtcConfig
 from meterfill.data import (
     DataError,
     SynthSpec,
@@ -49,6 +51,7 @@ def cases(dims):
         yield f"{tag}-cpd_lrtc-default", masked, dict(method="cpd_lrtc")
         for method in ("halrtc", "mean", "interp"):
             yield f"{tag}-{method}", masked, dict(method=method)
+        yield f"{tag}-halrtc-mu0", masked, dict(method="halrtc", halrtc_cfg=HalrtcConfig(mu0=0.5, max_iters=40))
     electrical = synth_electrical_tensor(dims[0], dims[1], seed=5)
     masked = simulate_missing(electrical, 0.5, derive_seed(9, "mask", "0.5"))
     for prefill in (True, False):

@@ -182,18 +182,23 @@ def run_benchmark(
     the simulated missing set, in original units. A method that cannot
     fill a masked dataset (a :class:`~meterfill.data.DataError`, such as a
     baseline meeting a channel with no observed entry) fails only its own
-    cell. A rate or method given twice is refused, as the table shows it once.
+    cell. A rate or method given twice is refused, as the table shows it once;
+    so is a rate whose label (12 significant digits) repeats another's, as it
+    would get the same mask.
     """
     if not ds.fully_observed:
         raise ValueError("run_benchmark needs a fully observed dataset as ground truth")
     rates = [float(r) for r in rates]
     if not rates:
         raise ValueError("no missing rates given")
+    labels = [f"{r:.12g}" for r in rates]
     for k, r in enumerate(rates):
         if not 0 < r < 1:
             raise ValueError(f"missing rate must lie in (0, 1) for scoring, got {r}")
-        if r in rates[:k]:
-            raise ValueError(f"missing rate {r:g} given twice")
+        if labels[k] in labels[:k]:
+            first = rates[labels.index(labels[k])]
+            also = "" if first == r else f" (as {first!r}; both label the mask {labels[k]})"
+            raise ValueError(f"missing rate {r!r} given twice{also}")
     methods = list(methods)
     if not methods:
         raise ValueError("no methods given")
@@ -204,8 +209,8 @@ def run_benchmark(
             raise ValueError(f"method {m!r} given twice")
 
     results = []
-    for rate in rates:
-        masked = simulate_missing(ds, rate, derive_seed(seed, "mask", f"{rate:.12g}"))
+    for rate, label in zip(rates, labels):
+        masked = simulate_missing(ds, rate, derive_seed(seed, "mask", label))
         for method in methods:
             try:
                 report = complete_dataset(

@@ -191,7 +191,7 @@ class CompletionReport:
         return len(self.residual_history)
 
 
-def svt(m: np.ndarray, tau: float) -> np.ndarray:
+def svt(m: np.ndarray, tau: float, *, out: np.ndarray | None = None) -> np.ndarray:
     """Singular value thresholding: shrink every singular value by tau.
 
     Returns ``U diag(max(s - tau, 0)) V^T`` for the thin SVD ``U diag(s) V^T``
@@ -204,12 +204,19 @@ def svt(m: np.ndarray, tau: float) -> np.ndarray:
     representable, or a kept singular value lies below ``1e-5`` of the
     largest.
 
+    ``out``, a float64 array of m's shape that does not overlap m, receives
+    the result on every path and is returned; without it the result is a new
+    array. A solver that thresholds the same shapes every iteration passes
+    the same buffers.
+
     Raises :class:`NumericalError` for a non-finite m or a failed
     decomposition.
     """
     if tau < 0:
         raise ValueError("threshold must be nonnegative")
     m = np.asarray(m, dtype=np.float64)
+    if out is not None and out.shape != m.shape:
+        raise ValueError(f"out has shape {out.shape}, the operand {m.shape}")
     wide = m.shape[0] <= m.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         gram = m @ m.T if wide else m.T @ m
@@ -222,21 +229,24 @@ def svt(m: np.ndarray, tau: float) -> np.ndarray:
             s = np.sqrt(np.maximum(lam, 0.0))
             keep = s > tau
             if not keep.any():
-                return np.zeros_like(m)
+                if out is None:
+                    return np.zeros_like(m)
+                out[...] = 0.0
+                return out
             s_kept = s[keep]
             if s_kept[0] >= _GRAM_MIN_RATIO * s_kept[-1]:
                 q_kept = q[:, keep]
                 # One small-side matrix, so each side of m is multiplied once
                 # however many singular values are kept.
                 shrink = (q_kept * (1.0 - tau / s_kept)) @ q_kept.T
-                return shrink @ m if wide else m @ shrink
+                return np.matmul(shrink, m, out=out) if wide else np.matmul(m, shrink, out=out)
     elif not np.all(np.isfinite(m)):
         raise NumericalError("SVT operand has non-finite entries")
     try:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as err:
         raise NumericalError(f"SVD failed: {err}") from err
-    return (u * np.maximum(s - tau, 0.0)) @ vt
+    return np.matmul(u * np.maximum(s - tau, 0.0), vt, out=out)
 
 
 def init_factors(dims, rank: int, rng: np.random.Generator) -> FactorSet:
@@ -391,8 +401,8 @@ def _run_admm(x: np.ndarray, cfg, mu: float, step, svd_shapes) -> CompletionRepo
     ``step(x, mu)`` advances the solver's own state by one iteration and
     returns ``(x_new, change)``: the next completion and
     ``||x_new - x||_F``. The step owns x's buffer: CPD-LRTC returns x itself,
-    overwritten in place; HaLRTC returns a new array and spends x on the
-    difference.
+    overwritten in place; HaLRTC returns its spare buffer and spends x on the
+    difference, after which x's buffer is the next spare.
     """
     denom = fro_norm(x) or 1.0
     history: list[float] = []

@@ -281,7 +281,9 @@ class TestRunBenchmark:
     @pytest.mark.parametrize(
         "rates,methods,named",
         [pytest.param([0.1, 0.2, 0.3, 0.2], ["mean"], "missing rate 0.2", id="rate"),
-         pytest.param([0.2], ["mean", "interp", "mean"], "method 'mean'", id="method")],
+         pytest.param([0.2], ["mean", "interp", "mean"], "method 'mean'", id="method"),
+         # Equal to 12 digits, the mask label, so both rows would share one mask.
+         pytest.param([0.2, 0.2 + 1e-13], ["mean"], "missing rate 0.20000000000010001", id="rate-label")],
     )
     def test_repeated_rate_or_method_refused(self, ds, rates, methods, named):
         # The table has one cell per rate and method, so a repeat would be

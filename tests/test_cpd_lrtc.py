@@ -145,6 +145,29 @@ class TestSvt:
         assert np.linalg.norm(svt(m.T, tau) - expected.T) <= bound
         assert len(calls) == svd_calls
 
+    @pytest.mark.parametrize(
+        "shape,spectrum,tau,svd_calls",
+        [
+            ((20, 60), np.logspace(0, 2, 20), 10.0, 0),
+            ((60, 20), np.logspace(0, 2, 20), 10.0, 0),
+            ((20, 60), np.logspace(0, 2, 20), 200.0, 0),
+            ((12, 40), np.logspace(-9, 0, 12), 0.5e-9, 1),
+        ],
+        ids=["gram-wide", "gram-tall", "all-zero", "svd-fallback"],
+    )
+    def test_out_receives_the_result(self, monkeypatch, shape, spectrum, tau, svd_calls):
+        m = operand_with_spectrum(shape, spectrum, seed=shape[0])
+        expected = svt(m, tau)
+        out = np.full(shape, np.nan)
+        calls = count_svd_calls(monkeypatch)
+        assert svt(m, tau, out=out) is out
+        assert np.array_equal(out, expected)
+        assert len(calls) == svd_calls
+
+    def test_out_of_another_shape_refused(self):
+        with pytest.raises(ValueError, match="shape"):
+            svt(np.eye(3), 0.5, out=np.empty((3, 2)))
+
     @pytest.mark.parametrize("shape", [(6, 9), (9, 6)])
     @pytest.mark.parametrize("c", [1e-170, 1e-150, 1e-6, 1e6, 1e150, 1e200])
     def test_scale_equivariance(self, rng, shape, c):
