@@ -10,17 +10,30 @@ matrices each method thresholds. The shared :func:`svt` thresholds each
 matricization through the ``eigh`` of its ``I_n x I_n`` Gram matrix.
 
 Like the CP-factor step, an iteration allocates no tensor: the step runs in a
-fixed workspace made once per solve (see :func:`complete_halrtc`).
+fixed workspace made once per solve (see :func:`complete_halrtc`). Unlike
+it, the step runs on two threads: within an iteration the three mode
+subproblems depend only on X and their own duals, so a worker thread
+thresholds the mode with the largest dimension while the calling thread
+does the other two, and the completion is the same to the bit as on one.
+CPD-LRTC's step is bound by memory traffic and stays on one thread.
 """
 
 from __future__ import annotations
 
+import contextvars
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cpd_lrtc import CompletionReport, _check_admm_fields, _observed_input, _run_admm, svt
 from .tensor_ops import fro_norm
+
+# Tensors of fewer entries than this run all three modes on the calling
+# thread: a handoff to the worker costs about 0.3 ms an iteration, more than
+# the overlap saves below it. A sweep from 16x24x32 to 24x36x40 put the
+# break-even between 18x27x36 and 18x30x40 (CHANGES.md).
+_THREAD_MIN_SIZE = 20_000
 
 
 @dataclass(frozen=True)
@@ -44,18 +57,74 @@ class HalrtcConfig:
 
 
 def _mode_views(buf: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mode n (0-based) views of a tensor-sized buffer: ``(matrix, tensor)``.
+    """Mode n (0-based) views of a tensor-sized buffer: ``(matrix, stored)``.
 
     The matrix is the C-order matricization :func:`svt` thresholds for mode n
-    and the tensor is the same memory shaped like X. svt commutes with column
-    permutations and transposition, so modes 1 and 3 (the tall transpose)
-    are reshapes of a tensor stored as X is, and mode 2 stores its tensor
-    transposed, as ``(I2, I1, I3)``.
+    and ``stored`` is the same memory as a C-contiguous tensor whose axes are
+    X's in mode n's order (see :func:`_in_mode_order`). svt commutes with
+    column permutations and transposition, so modes 1 and 3 (the tall
+    transpose) are reshapes of a tensor stored as X is, and mode 2 stores its
+    tensor transposed, as ``(I2, I1, I3)``.
     """
     i1, i2, i3 = buf.shape
     if n == 1:
-        return buf.reshape(i2, -1), buf.reshape(i2, i1, i3).swapaxes(0, 1)
+        stored = buf.reshape(i2, i1, i3)
+        return stored.reshape(i2, -1), stored
     return (buf.reshape(i1, -1) if n == 0 else buf.reshape(-1, i3)), buf
+
+
+def _in_mode_order(t: np.ndarray, n: int) -> np.ndarray:
+    """t with its first two axes swapped for mode 2 (n == 1); its own inverse.
+
+    It maps X into the order mode n stores its buffers, so an elementwise
+    operation between X and them writes its output in memory order, and a
+    stored mode-n tensor back into X's shape.
+    """
+    return t.swapaxes(0, 1) if n == 1 else t
+
+
+class _ModeWorker:
+    """One thread that runs one task at a time for the thread that made it.
+
+    :meth:`submit` hands it ``fn(*args)``, run in a copy of the caller's
+    context: numpy keeps its error state (``np.errstate``) in a context
+    variable, which a new thread does not inherit. :meth:`wait` blocks until
+    the task has ended and returns its exception, or None; :meth:`close`
+    ends the thread.
+    """
+
+    def __init__(self):
+        self._task = self._error = None
+        self._go, self._done = threading.Semaphore(0), threading.Semaphore(0)
+        self._thread = threading.Thread(target=self._serve, name="halrtc-mode", daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while True:
+            self._go.acquire()
+            if self._task is None:
+                return
+            try:
+                self._task()
+            except BaseException as err:  # handed to the waiting thread
+                self._error = err
+            self._task = None
+            self._done.release()
+
+    def submit(self, fn, *args):
+        context = contextvars.copy_context()
+        self._task = lambda: context.run(fn, *args)
+        self._go.release()
+
+    def wait(self) -> BaseException | None:
+        self._done.acquire()
+        error, self._error = self._error, None
+        return error
+
+    def close(self):
+        self._task = None
+        self._go.release()
+        self._thread.join()
 
 
 def complete_halrtc(truth, mask, cfg: HalrtcConfig | None = None) -> CompletionReport:
@@ -64,42 +133,85 @@ def complete_halrtc(truth, mask, cfg: HalrtcConfig | None = None) -> CompletionR
     Per iteration and mode n: :func:`svt` ``X + Y_n / mu`` to M_n,
     average the ``M_n - Y_n / mu`` into X, re-impose the observed entries,
     then step the duals by the remaining mode residuals ``mu (X - M_n)``.
+    Each mode's dual step is taken at the start of that mode's part of the
+    next iteration, so a mode depends only on X and its own dual, and the
+    mode with the largest dimension runs on a worker thread beside the
+    other two (for tensors of at least ``_THREAD_MIN_SIZE`` entries; smaller
+    ones run all three inline). The completion is the same to the bit
+    either way.
 
     The step writes into ten tensors allocated once per solve: X and the
     next X (the two swap every iteration), three duals, three estimates
-    M_n, one scratch for ``Y_n / mu`` and the terms built from it, and one
-    operand, which for mode 2 is written transposed so that no mode copies.
+    M_n, and one operand per thread, which holds ``X + Y_n / mu`` for svt
+    and then the term ``M_n - Y_n / mu``. Mode 2 stores its dual, estimate
+    and operand transposed, so that no mode copies.
     """
     cfg = cfg if cfg is not None else HalrtcConfig()
     x, observed_idx, observed = _observed_input(truth, mask)
     mu0 = cfg.mu0 if cfg.mu0 is not None else 1.0 / max(fro_norm(x), 1e-12)
-    ys = [np.zeros_like(x) for _ in range(3)]
-    spare, scratch, operand = (np.empty_like(x) for _ in range(3))
-    op_mats, ops = zip(*(_mode_views(operand, n) for n in range(3)))
-    m_mats, ms = zip(*(_mode_views(np.empty_like(x), n) for n in range(3)))
+    spare = np.empty_like(x)
+    # Each mode's dual, estimate and operand are stored in its own order.
+    y_mats = [_mode_views(np.zeros_like(x), n)[0] for n in range(3)]
+    m_mats, m_stored = zip(*(_mode_views(np.empty_like(x), n) for n in range(3)))
+    # The worker's mode w has the costliest svt; the calling thread runs a, b.
+    w = int(np.argmax(x.shape))
+    a, b = (n for n in range(3) if n != w)
+    caller_op, worker_op = np.empty_like(x), np.empty_like(x)
+    op_mats, op_stored = zip(*(_mode_views(worker_op if n == w else caller_op, n) for n in range(3)))
+    terms = [_in_mode_order(t, n) for n, t in enumerate(op_stored)]
+    last_two = sorted((w, b))
+    dual_mu = None  # the penalty of the dual step each mode still owes
+
+    def mode(n, x, mu, dual_mu):
+        # Leaves the term M_n - Y_n / mu in mode n's operand. Operations on
+        # mode n's own buffers run on their matrices, and those with X on X
+        # in mode n's order, so every output is written in memory order.
+        y, op, op_s, m = y_mats[n], op_mats[n], op_stored[n], m_mats[n]
+        x_s = _in_mode_order(x, n)
+        # The previous iteration's dual step, on an X the loop found finite.
+        if dual_mu is not None:
+            np.subtract(x_s, m_stored[n], out=op_s)
+            y += np.multiply(dual_mu, op, out=op)
+        np.divide(y, mu, out=op)
+        np.add(x_s, op_s, out=op_s)
+        svt(op, cfg.alpha[n] / mu, out=m)
+        np.subtract(m, np.divide(y, mu, out=op), out=op)
 
     def step(x, mu):
-        nonlocal spare
-        # X = (M_1 - Y_1/mu + M_2 - Y_2/mu + M_3 - Y_3/mu) / 3, summed from
-        # zero as the reference loops sum it (0 + turns a -0.0 into +0.0),
-        # each term added while its Y_n / mu is still in the scratch.
-        x_new = spare
-        x_new.fill(0.0)
-        for n, y in enumerate(ys):
-            d = np.divide(y, mu, out=scratch)
-            np.add(x, d, out=ops[n])
-            svt(op_mats[n], cfg.alpha[n] / mu, out=m_mats[n])
-            x_new += np.subtract(ms[n], d, out=scratch)
+        nonlocal spare, dual_mu
+        if worker is None:
+            mode(w, x, mu, dual_mu)
+        else:
+            worker.submit(mode, w, x, mu, dual_mu)
+        try:
+            # X = (M_1 - Y_1/mu + M_2 - Y_2/mu + M_3 - Y_3/mu) / 3, summed in
+            # mode order from zero as the reference loops sum it,
+            # ((0 + t1) + t2) + t3, where 0 + turns a -0.0 into +0.0. The
+            # caller's first term goes in before the worker's is ready; when
+            # the worker has mode 1 that term is t2, and (0 + t2) + t1 gives
+            # the same bits: addition commutes, and a sum with a zero term
+            # comes out the same either way.
+            mode(a, x, mu, dual_mu)
+            x_new = np.add(0.0, terms[a], out=spare)
+            mode(b, x, mu, dual_mu)
+        finally:
+            error = worker.wait() if worker is not None else None
+        if error is not None:
+            raise error
+        for n in last_two:
+            x_new += terms[n]
         np.divide(x_new, 3.0, out=x_new)
         x_new.reshape(-1)[observed_idx] = observed
-        # A diverged iterate gives inf - inf here; the loop's non-finite check follows.
-        with np.errstate(invalid="ignore"):
-            for y, mn in zip(ys, ms):
-                y += np.multiply(mu, np.subtract(x_new, mn, out=scratch), out=scratch)
+        dual_mu = mu
         # x is finite, so a non-finite x_new (or a difference too large to
         # square) shows up as a non-finite change; x's buffer is the next spare.
         spare = x
         with np.errstate(over="ignore"):
             return x_new, fro_norm(np.subtract(x, x_new, out=x))
 
-    return _run_admm(x, cfg, mu0, step, tuple((d, x.size // d) for d in x.shape))
+    worker = _ModeWorker() if x.size >= _THREAD_MIN_SIZE else None
+    try:
+        return _run_admm(x, cfg, mu0, step, tuple((d, x.size // d) for d in x.shape))
+    finally:
+        if worker is not None:
+            worker.close()

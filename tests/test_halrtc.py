@@ -1,6 +1,7 @@
 """Unfolding-based comparator solver."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -123,11 +124,11 @@ class TestCompleteHalrtc:
     @pytest.mark.parametrize("rate,bound", [(0.5, 11.75), (0.9, 11.0)])
     def test_peak_memory(self, rate, bound):
         # The step's ten tensors (the current and the next completion, three
-        # duals, three thresholded estimates, the scratch and the svt operand)
-        # are live from the first iteration on, beside the observed positions
-        # and values, one tensor at 50% missing and a fifth at 90%, and the
-        # mask. Measured: 11.24 and 10.54 tensors; one more tensor-size buffer
-        # fails the bound.
+        # duals, three thresholded estimates, and the caller's and the
+        # worker's operands) are live from the first iteration on, beside the
+        # observed positions and values, one tensor at 50% missing and a
+        # fifth at 90%, and the mask. Measured: 11.29 and 10.57 tensors; one
+        # more tensor-size buffer fails the bound.
         t, mask = parity_instance((31, 48, 114), rate)
         tracemalloc.start()
         try:
@@ -209,6 +210,83 @@ class TestCompleteHalrtc:
         ):
             complete_halrtc(t, mask, HalrtcConfig(max_iters=10, epsilon=1e-9))
         assert len(calls) == 9
+
+
+class TestModeWorker:
+    """The mode with the largest dimension runs on a worker thread, which
+    every solve ends, whatever ends the solve.
+    """
+
+    @pytest.mark.parametrize(
+        "dims,worker_mode", [((30, 48, 50), 2), ((60, 20, 30), 0), ((40, 60, 30), 1), ((12, 20, 25), None)]
+    )
+    def test_largest_mode_runs_on_the_worker(self, monkeypatch, dims, worker_mode):
+        t, mask = parity_instance(dims, 0.5)
+        calls = []
+        threshold = halrtc.svt
+
+        def recording(m, tau, **kw):
+            calls.append((m.shape, threading.current_thread() is threading.main_thread()))
+            return threshold(m, tau, **kw)
+
+        monkeypatch.setattr(halrtc, "svt", recording)
+        report = complete_halrtc(t, mask, HalrtcConfig(mu0=0.5, max_iters=4))
+        assert (math.prod(dims) >= halrtc._THREAD_MIN_SIZE) == (worker_mode is not None)
+        i1, i2, i3 = dims
+        mode_shapes = [(i1, i2 * i3), (i2, i1 * i3), (i1 * i2, i3)]
+        on_worker = [shape for shape, on_main in calls if not on_main]
+        expected = [] if worker_mode is None else [mode_shapes[worker_mode]] * report.iterations
+        assert on_worker == expected
+        assert len(calls) == 3 * report.iterations
+
+    @pytest.mark.parametrize(
+        "cfg", [HalrtcConfig(), HalrtcConfig(mu0=0.5, max_iters=6)], ids=["converged", "max_iters"]
+    )
+    def test_solve_leaves_no_thread(self, cfg):
+        t, mask = parity_instance((30, 48, 50), 0.5)
+        before = threading.active_count()
+        report = complete_halrtc(t, mask, cfg)
+        assert report.converged == (cfg.mu0 is None)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_error_in_either_thread_names_the_iteration(self, monkeypatch, failing):
+        # Each thread counts its own calls: the worker makes one per
+        # iteration and the caller two, so these are iteration 3's.
+        t, mask = parity_instance((30, 48, 50), 0.5)
+        calls = {True: 0, False: 0}
+        threshold = halrtc.svt
+
+        def failing_svt(m, tau, **kw):
+            on_main = threading.current_thread() is threading.main_thread()
+            calls[on_main] += 1
+            if (failing == "caller") == on_main and calls[on_main] == (5 if on_main else 3):
+                raise NumericalError("stand-in failure")
+            return threshold(m, tau, **kw)
+
+        monkeypatch.setattr(halrtc, "svt", failing_svt)
+        before = threading.active_count()
+        with pytest.raises(NumericalError, match=r"^iteration 3: stand-in failure$"):
+            complete_halrtc(t, mask, HalrtcConfig(mu0=0.5, max_iters=10))
+        assert threading.active_count() == before
+        # The other thread ran its part of iteration 3, and nothing after it.
+        assert calls == ({True: 6, False: 3} if failing == "worker" else {True: 5, False: 3})
+
+    def test_worker_sees_the_callers_error_state(self, monkeypatch):
+        # numpy keeps np.errstate in a context variable; the worker runs its
+        # mode in a copy of the caller's context.
+        t, mask = parity_instance((30, 48, 50), 0.5)
+        seen = []
+        threshold = halrtc.svt
+
+        def recording(m, tau, **kw):
+            seen.append((threading.current_thread() is threading.main_thread(), np.geterr()["divide"]))
+            return threshold(m, tau, **kw)
+
+        monkeypatch.setattr(halrtc, "svt", recording)
+        with np.errstate(divide="raise"):
+            complete_halrtc(t, mask, HalrtcConfig(mu0=0.5, max_iters=3))
+        assert sorted(seen) == [(False, "raise")] * 3 + [(True, "raise")] * 6
 
 
 def reference_complete_halrtc(truth, mask, cfg, threshold=svt):
@@ -304,7 +382,10 @@ class TestParityWithOwnLoop:
     and stays where the unfold-based loop put it.
     """
 
-    @pytest.mark.parametrize("dims", [(30, 48, 50), (31, 48, 114)])
+    # The worker thread takes the mode with the largest dimension: mode 3 in
+    # the first two shapes, then mode 1 and mode 2; the last shape is below
+    # _THREAD_MIN_SIZE and runs every mode on the calling thread.
+    @pytest.mark.parametrize("dims", [(30, 48, 50), (31, 48, 114), (60, 20, 30), (40, 60, 30), (12, 20, 25)])
     @pytest.mark.parametrize("rate", [0.5, 0.9])
     @pytest.mark.parametrize(
         "cfg", [HalrtcConfig(), HalrtcConfig(mu0=0.5, max_iters=40)], ids=["adaptive", "mu0"]
