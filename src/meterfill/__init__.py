@@ -44,7 +44,6 @@ from .tensor_ops import (
     fold,
     fro_norm,
     khatri_rao,
-    project,
     unfold,
 )
 

@@ -38,6 +38,15 @@ entries written back, adds its part of ``||X_old - X_new||_F``, and gives its
 rows of the next sweep's Z (whose pre-sweep U3 is this U3). So the factor
 sweep never forms Z itself, and an iteration allocates no tensor.
 
+Both passes run on two threads for tensors of at least ``_THREAD_MIN_SIZE``
+entries: a worker thread, started once per solve, forms the second row half
+of the mode-3 MTTKRP and rebuilds the second half of the blocks. The MTTKRP
+is the sum of its two halves, and the change sums the blocks' squares in
+block order, with or without the worker, so the completion is the same to
+the bit on one thread or two. The worker calls only numpy and private
+helpers, so a tracer that wraps this module's public functions sees every
+call on the calling thread.
+
 :func:`svt`, which both solvers call, needs only the singular values above
 its threshold and their subspace, and takes both from the ``eigh`` of the
 Gram matrix on the operand's smaller side (Cai & Osher, "Fast singular value
@@ -46,7 +55,9 @@ Gram cannot be trusted go to a thin SVD."""
 
 from __future__ import annotations
 
+import contextvars
 import math
+import threading
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -67,6 +78,71 @@ class NumericalError(RuntimeError):
     eigendecomposition fails."""
 
 
+class _Worker:
+    """One thread that runs one task at a time for the thread that made it.
+
+    :meth:`submit` hands it ``fn(*args)``, run in a copy of the caller's
+    context: numpy keeps its error state (``np.errstate``) in a context
+    variable, which a new thread does not inherit. :meth:`wait` blocks until
+    the task has ended and returns its exception, or None; :meth:`close`
+    ends the thread. Both solvers start one per solve for large tensors.
+    """
+
+    def __init__(self):
+        self._task = self._error = None
+        self._go, self._done = threading.Semaphore(0), threading.Semaphore(0)
+        self._thread = threading.Thread(target=self._serve, name="meterfill-worker", daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while True:
+            self._go.acquire()
+            if self._task is None:
+                return
+            try:
+                self._task()
+            except BaseException as err:  # handed to the waiting thread
+                self._error = err
+            self._task = None
+            self._done.release()
+
+    def submit(self, fn, *args):
+        context = contextvars.copy_context()
+        self._task = lambda: context.run(fn, *args)
+        self._go.release()
+
+    def wait(self) -> BaseException | None:
+        self._done.acquire()
+        error, self._error = self._error, None
+        return error
+
+    def close(self):
+        self._task = None
+        self._go.release()
+        self._thread.join()
+
+
+def _beside(worker: _Worker | None, fn, first: tuple, second: tuple) -> None:
+    """``fn(*first)`` on the calling thread and ``fn(*second)`` on ``worker``.
+
+    Without a worker both run here, first then second. The worker is waited
+    for whatever ``fn(*first)`` raises; an error of either call is raised,
+    the caller's first. ``fn`` must not be a public meterfill function, so
+    that a tracer wrapping those records no span on the worker thread.
+    """
+    if worker is None:
+        fn(*first)
+        fn(*second)
+        return
+    worker.submit(fn, *second)
+    try:
+        fn(*first)
+    finally:
+        error = worker.wait()
+    if error is not None:
+        raise error
+
+
 # A kept singular value s comes out of the Gram's eigenvalue s**2, whose
 # absolute error is near eps * s_max**2, so s is off by about
 # eps * s_max**2 / (2 s): 1.1e-11 of s_max at this fraction of s_max, a tenth
@@ -81,6 +157,13 @@ _GRAM_MIN_EIGENVALUE = np.finfo(np.float64).tiny / _GRAM_MIN_RATIO**2
 # of Z stay in cache through the five steps on them. A sweep of 256 KiB,
 # 512 KiB and 1 MiB on a 90x96x300 solve picked it (CHANGES.md).
 _BLOCK_BYTES = 512 * 1024
+# Tensors of fewer entries than this run the step on the calling thread;
+# from this size on, a worker thread takes half of the mode-3 MTTKRP and of
+# the completion pass. Two handoffs an iteration and the GIL passing between
+# the threads at each numpy call cost more than the overlap saves below it: a
+# sweep from 259k to 691k entries found no gain up to 518k (90x96x60) and 16%
+# from 576k (40x48x300) on (CHANGES.md).
+_THREAD_MIN_SIZE = 550_000
 
 
 def _check_admm_fields(cfg) -> None:
@@ -275,7 +358,12 @@ def _ridge_update(state: FactorSet, n: int, mttkrp, gram_a, gram_b, lam: float, 
 
 
 def update_factors(
-    state: FactorSet, x: np.ndarray, lam: float, mu: float, z: np.ndarray | None = None
+    state: FactorSet,
+    x: np.ndarray,
+    lam: float,
+    mu: float,
+    z: np.ndarray | None = None,
+    worker: _Worker | None = None,
 ) -> FactorSet:
     """One Gauss-Seidel sweep of the factor subproblems.
 
@@ -285,6 +373,11 @@ def update_factors(
     ``(I1*I2, R)`` contraction ``X_(12) @ U3`` of x's free matricization with
     the pre-sweep U3, as :func:`update_completion` leaves it; ``None`` forms it
     from x.
+
+    The mode-3 MTTKRP is always the sum of two row halves,
+    ``kr[:h].T @ X_(12)[:h] + kr[h:].T @ X_(12)[h:]``; ``worker``, the thread
+    :func:`complete` starts for a large tensor, forms the second half beside
+    the first, with the same bits as without it.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != state.dims:
@@ -297,7 +390,11 @@ def update_factors(
     u1 = _ridge_update(state, 0, np.einsum("ijr,jr->ir", z, u2), g3, u2.T @ u2, lam, mu)
     g1 = u1.T @ u1
     u2 = _ridge_update(state, 1, np.einsum("ijr,ir->jr", z, u1), g3, g1, lam, mu)
-    mttkrp = (khatri_rao(u1, u2).T @ x3).T
+    kr = khatri_rao(u1, u2)
+    h = len(kr) // 2
+    halves = np.empty((2, kr.shape[1], i3))
+    _beside(worker, np.matmul, (kr[:h].T, x3[:h], halves[0]), (kr[h:].T, x3[h:], halves[1]))
+    mttkrp = (halves[0] + halves[1]).T
     u3 = _ridge_update(state, 2, mttkrp, g1, u2.T @ u2, lam, mu)
     return FactorSet(U=(u1, u2, u3), M=state.M, Y=state.Y)
 
@@ -308,7 +405,9 @@ def update_auxiliary(state: FactorSet, alpha, mu: float) -> FactorSet:
     return FactorSet(U=state.U, M=m, Y=state.Y)
 
 
-def completion_blocks(dims, observed_idx: np.ndarray, observed: np.ndarray) -> tuple:
+def completion_blocks(
+    dims, observed_idx: np.ndarray, observed: np.ndarray, *, threaded: bool = False
+) -> tuple:
     """The row blocks :func:`update_completion` works through, found once per solve.
 
     ``observed_idx`` holds strictly increasing flat C-order positions in a
@@ -319,9 +418,11 @@ def completion_blocks(dims, observed_idx: np.ndarray, observed: np.ndarray) -> t
     least one, their observed positions as offsets from ``start * I3`` (the
     slices of ``observed_idx``, shifted in place: a copy would add half a
     tensor to the peak at 50% missing) and values, and a ``(stop - start, I3)``
-    view of one scratch buffer that all blocks share. The buffer is allocated
-    here, once per solve: allocated per call, beside the Khatri-Rao product,
-    it took a 30x48x50 rank-20 update_completion from 0.4 to about 1 ms.
+    view of a scratch buffer. All blocks share one buffer; ``threaded`` gives
+    the second half of them, which a worker thread rebuilds, a buffer of
+    their own. The buffers are allocated here, once per solve: allocated per
+    call, beside the Khatri-Rao product, one took a 30x48x50 rank-20
+    update_completion from 0.4 to about 1 ms.
     """
     i1, i2, i3 = (int(d) for d in dims)
     if observed_idx.shape != observed.shape:
@@ -333,16 +434,34 @@ def completion_blocks(dims, observed_idx: np.ndarray, observed: np.ndarray) -> t
     rows = min(max(1, _BLOCK_BYTES // (8 * i3)), i1 * i2)
     bounds = np.append(np.arange(0, i1 * i2, rows), i1 * i2)
     cuts = np.searchsorted(observed_idx, bounds * i3)
+    h = (len(bounds) - 1) // 2  # the blocks update_completion keeps on the calling thread
     scratch = np.empty((rows, i3))
     blocks = []
-    for start, stop, a, b in zip(bounds[:-1], bounds[1:], cuts[:-1], cuts[1:]):
+    for k, (start, stop, a, b) in enumerate(zip(bounds[:-1], bounds[1:], cuts[:-1], cuts[1:])):
+        if threaded and k == h:
+            scratch = np.empty((rows, i3))
         offsets = observed_idx[a:b]
         offsets -= start * i3
         blocks.append((int(start), int(stop), offsets, observed[a:b], scratch[: stop - start]))
     return tuple(blocks)
 
 
-def update_completion(state: FactorSet, x: np.ndarray, z: np.ndarray, blocks) -> float:
+def _rebuild_blocks(blocks, squares: list, kr, u3, x3, z) -> None:
+    """The completion pass over ``blocks``, each block's squared change appended to ``squares``."""
+    for start, stop, offsets, values, new in blocks:
+        np.matmul(kr[start:stop], u3.T, out=new)
+        new.reshape(-1)[offsets] = values
+        old = x3[start:stop]
+        np.subtract(old, new, out=old)
+        diff = old.reshape(-1)
+        squares.append(float(diff @ diff))
+        old[...] = new
+        np.matmul(new, u3, out=z[start:stop])
+
+
+def update_completion(
+    state: FactorSet, x: np.ndarray, z: np.ndarray, blocks, worker: _Worker | None = None
+) -> float:
     """Overwrite x with the CP reconstruction, observed entries written back in.
 
     One pass over the row blocks of x's free ``(I1*I2, I3)`` matricization,
@@ -350,26 +469,28 @@ def update_completion(state: FactorSet, x: np.ndarray, z: np.ndarray, blocks) ->
     rebuilt in its scratch as ``khatri_rao(U1, U2)[rows] @ U3.T``, gets its
     observed entries, adds its part of the change, is stored in x, and writes
     ``z[rows]``, its rows of the ``(I1*I2, R)`` contraction with U3 that the
-    next :func:`update_factors` takes. Returns ``||x_old - x_new||_F``.
+    next :func:`update_factors` takes. Returns ``||x_old - x_new||_F``, the
+    blocks' squared changes summed in block order.
+
+    ``worker``, the thread :func:`complete` starts for a large tensor,
+    rebuilds the second half of the blocks, which must then have been cut
+    ``threaded``; the result is the same to the bit.
     """
     if x.shape != state.dims or x.dtype != np.float64 or not x.flags.c_contiguous:
         raise ValueError(f"completion must be a C-ordered float64 tensor of dims {state.dims}")
+    h = len(blocks) // 2
+    if worker is not None and h and np.may_share_memory(blocks[h - 1][4], blocks[h][4]):
+        raise ValueError("a worker needs blocks cut with threaded=True")
     u1, u2, u3 = state.U
-    i3 = u3.shape[0]
     kr = khatri_rao(u1, u2)
-    x3 = x.reshape(-1, i3)
-    squared = 0.0
+    operands = (kr, u3, x.reshape(-1, u3.shape[0]), z)
+    ours, theirs = [], []
     # An overflow leaves a non-finite change, which the caller reports.
     with np.errstate(over="ignore"):
-        for start, stop, offsets, values, new in blocks:
-            np.matmul(kr[start:stop], u3.T, out=new)
-            new.reshape(-1)[offsets] = values
-            old = x3[start:stop]
-            np.subtract(old, new, out=old)
-            diff = old.reshape(-1)
-            squared += float(diff @ diff)
-            old[...] = new
-            np.matmul(new, u3, out=z[start:stop])
+        _beside(worker, _rebuild_blocks, (blocks[:h], ours, *operands), (blocks[h:], theirs, *operands))
+    squared = 0.0
+    for part in ours + theirs:
+        squared += part
     return math.sqrt(squared)
 
 
@@ -445,15 +566,21 @@ def complete(truth, mask, cfg: SolverConfig | None = None) -> CompletionReport:
     x, observed_idx, observed = _observed_input(truth, mask)
     rank = cfg.rank if cfg.rank is not None else min(20, min(x.shape))
     state = init_factors(x.shape, rank, np.random.default_rng(cfg.seed))
-    blocks = completion_blocks(x.shape, observed_idx, observed)
+    threaded = x.size >= _THREAD_MIN_SIZE
+    blocks = completion_blocks(x.shape, observed_idx, observed, threaded=threaded)
     z = x.reshape(-1, x.shape[2]) @ state.U[2]
 
     def step(x, mu):
         nonlocal state
-        state = update_factors(state, x, cfg.lam, mu, z)
+        state = update_factors(state, x, cfg.lam, mu, z, worker)
         state = update_auxiliary(state, cfg.alpha, mu)
-        change = update_completion(state, x, z, blocks)
+        change = update_completion(state, x, z, blocks, worker)
         state = update_multipliers(state, mu)
         return x, change
 
-    return _run_admm(x, cfg, cfg.mu0, step, tuple((int(d), rank) for d in x.shape))
+    worker = _Worker() if threaded else None
+    try:
+        return _run_admm(x, cfg, cfg.mu0, step, tuple((int(d), rank) for d in x.shape))
+    finally:
+        if worker is not None:
+            worker.close()

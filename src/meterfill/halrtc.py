@@ -10,23 +10,21 @@ matrices each method thresholds. The shared :func:`svt` thresholds each
 matricization through the ``eigh`` of its ``I_n x I_n`` Gram matrix.
 
 Like the CP-factor step, an iteration allocates no tensor: the step runs in a
-fixed workspace made once per solve (see :func:`complete_halrtc`). Unlike
-it, the step runs on two threads: within an iteration the three mode
-subproblems depend only on X and their own duals, so a worker thread
-thresholds the mode with the largest dimension while the calling thread
-does the other two, and the completion is the same to the bit as on one.
-CPD-LRTC's step is bound by memory traffic and stays on one thread.
+fixed workspace made once per solve (see :func:`complete_halrtc`). Like it
+too, the step runs on two threads, from a smaller size on: within an
+iteration the three mode subproblems depend only on X and their own duals,
+so the CP-factor solver's worker thread thresholds the mode with the
+largest dimension while the calling thread does the other two, and the
+completion is the same to the bit as on one.
 """
 
 from __future__ import annotations
 
-import contextvars
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cpd_lrtc import CompletionReport, _check_admm_fields, _observed_input, _run_admm, svt
+from .cpd_lrtc import CompletionReport, _check_admm_fields, _observed_input, _run_admm, _Worker, svt
 from .tensor_ops import fro_norm
 
 # Tensors of fewer entries than this run all three modes on the calling
@@ -81,50 +79,6 @@ def _in_mode_order(t: np.ndarray, n: int) -> np.ndarray:
     stored mode-n tensor back into X's shape.
     """
     return t.swapaxes(0, 1) if n == 1 else t
-
-
-class _ModeWorker:
-    """One thread that runs one task at a time for the thread that made it.
-
-    :meth:`submit` hands it ``fn(*args)``, run in a copy of the caller's
-    context: numpy keeps its error state (``np.errstate``) in a context
-    variable, which a new thread does not inherit. :meth:`wait` blocks until
-    the task has ended and returns its exception, or None; :meth:`close`
-    ends the thread.
-    """
-
-    def __init__(self):
-        self._task = self._error = None
-        self._go, self._done = threading.Semaphore(0), threading.Semaphore(0)
-        self._thread = threading.Thread(target=self._serve, name="halrtc-mode", daemon=True)
-        self._thread.start()
-
-    def _serve(self):
-        while True:
-            self._go.acquire()
-            if self._task is None:
-                return
-            try:
-                self._task()
-            except BaseException as err:  # handed to the waiting thread
-                self._error = err
-            self._task = None
-            self._done.release()
-
-    def submit(self, fn, *args):
-        context = contextvars.copy_context()
-        self._task = lambda: context.run(fn, *args)
-        self._go.release()
-
-    def wait(self) -> BaseException | None:
-        self._done.acquire()
-        error, self._error = self._error, None
-        return error
-
-    def close(self):
-        self._task = None
-        self._go.release()
-        self._thread.join()
 
 
 def complete_halrtc(truth, mask, cfg: HalrtcConfig | None = None) -> CompletionReport:
@@ -209,7 +163,7 @@ def complete_halrtc(truth, mask, cfg: HalrtcConfig | None = None) -> CompletionR
         with np.errstate(over="ignore"):
             return x_new, fro_norm(np.subtract(x, x_new, out=x))
 
-    worker = _ModeWorker() if x.size >= _THREAD_MIN_SIZE else None
+    worker = _Worker() if x.size >= _THREAD_MIN_SIZE else None
     try:
         return _run_admm(x, cfg, mu0, step, tuple((d, x.size // d) for d in x.shape))
     finally:

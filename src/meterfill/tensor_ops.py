@@ -1,9 +1,9 @@
 """Dense order-3 tensor arithmetic.
 
-Unfolding/folding, the Khatri-Rao product, CP reconstruction, Frobenius
-norms, and masked projections. Everything operates on plain float64 numpy
-arrays of shape ``(I1, I2, I3)``; missing values are carried by a separate
-boolean mask, never by NaN sentinels inside the tensor.
+Unfolding/folding, the Khatri-Rao product, CP reconstruction and Frobenius
+norms. Everything operates on plain float64 numpy arrays of shape
+``(I1, I2, I3)``; missing values are carried by a separate boolean mask,
+never by NaN sentinels inside the tensor.
 """
 
 from __future__ import annotations
@@ -113,9 +113,3 @@ def cp_reconstruct(factors) -> np.ndarray:
 def fro_norm(t: np.ndarray) -> float:
     """Frobenius norm: square root of the sum of squared entries."""
     return float(np.linalg.norm(np.asarray(t, dtype=np.float64)))
-
-
-def project(t: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Keep the masked-True (observed) entries, zero elsewhere."""
-    t = np.asarray(t, dtype=np.float64)
-    return np.where(as_mask(mask, t.shape), t, 0.0)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from meterfill.data import TensorDataset
+from meterfill.tensor_ops import as_mask
 
 
 def make_dataset(tensor, mask=None, channels=None):
@@ -24,6 +25,13 @@ def make_dataset(tensor, mask=None, channels=None):
         mask=np.asarray(mask, dtype=bool),
         channel_labels=channels,
     )
+
+
+def project(t, mask):
+    """Keep the masked-True (observed) entries, zero elsewhere: the first
+    iterate of the reference solver loops."""
+    t = np.asarray(t, dtype=np.float64)
+    return np.where(as_mask(mask, t.shape), t, 0.0)
 
 
 def reference_svd_svt(m, tau):

@@ -1,12 +1,13 @@
 """CP-factor completion solver: subproblem oracles and end-to-end recovery."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import reference_svd_svt
+from conftest import project, reference_svd_svt
 
 from meterfill import cpd_lrtc
 from meterfill.cpd_lrtc import (
@@ -24,7 +25,7 @@ from meterfill.cpd_lrtc import (
 )
 from meterfill.data import SynthSpec, derive_seed, simulate_missing, synth_load_tensor
 from meterfill.benchmark import rse
-from meterfill.tensor_ops import cp_reconstruct, fro_norm, khatri_rao, project, unfold
+from meterfill.tensor_ops import cp_reconstruct, fro_norm, khatri_rao, unfold
 
 
 def random_state(dims, rank, seed, with_duals=True):
@@ -577,6 +578,30 @@ class TestCompletionBlocks:
             assert np.all((0 <= offsets) & (offsets < (stop - start) * 6))
             assert scratch.shape == (stop - start, 6) and np.shares_memory(scratch, blocks[0][4])
 
+    def test_threaded_blocks_give_the_second_half_its_own_scratch(self, monkeypatch):
+        mask = np.random.default_rng(27).random(self.DIMS) < 0.5
+        monkeypatch.setattr(cpd_lrtc, "_BLOCK_BYTES", 3 * 48)
+        t = np.random.default_rng(21).standard_normal(self.DIMS)
+        shared = completion_blocks(self.DIMS, *observed_of(t, mask))
+        blocks = completion_blocks(self.DIMS, *observed_of(t, mask), threaded=True)
+        assert [b[:2] for b in blocks] == [b[:2] for b in shared]  # 7 blocks, 3 and 4
+        scratches = [b[4] for b in blocks]
+        assert all(np.shares_memory(s, scratches[0]) for s in scratches[:3])
+        assert all(np.shares_memory(s, scratches[3]) for s in scratches[3:])
+        assert not np.shares_memory(scratches[0], scratches[3])
+
+    def test_worker_needs_threaded_blocks(self, monkeypatch):
+        mask = np.random.default_rng(27).random(self.DIMS) < 0.5
+        state = random_state(self.DIMS, 3, seed=22)
+        t, blocks = self.blocks_of(monkeypatch, 3 * 48, mask)
+        z = np.empty((20, 3))
+        worker = cpd_lrtc._Worker()
+        try:
+            with pytest.raises(ValueError, match="threaded=True"):
+                update_completion(state, t.copy(), z, blocks, worker)
+        finally:
+            worker.close()
+
     def test_whole_solve_does_not_depend_on_block_size(self, monkeypatch):
         # Each row's arithmetic is the same in any block; only the order in
         # which the change's squares are summed moves.
@@ -908,9 +933,10 @@ def ridge(state, n, mttkrp, gram_a, gram_b, lam, mu):
 def reference_blocked_complete(truth, mask, cfg):
     """The solver loop in the order of :func:`complete`, written out: the
     factor sweep reads the mode-3 contraction of the previous completion
-    pass, and the completion is rebuilt in place, ``_BLOCK_BYTES`` of rows at
-    a time, each block giving its squared change and its rows of the next
-    contraction. Returns what :func:`reference_own_loop_complete` does.
+    pass, the mode-3 MTTKRP is the sum of its two row halves, and the
+    completion is rebuilt in place, ``_BLOCK_BYTES`` of rows at a time, each
+    block giving its squared change and its rows of the next contraction.
+    Returns what :func:`reference_own_loop_complete` does.
     """
     t = np.asarray(truth, dtype=np.float64)
     m = np.asarray(mask, dtype=bool)
@@ -935,7 +961,9 @@ def reference_blocked_complete(truth, mask, cfg):
         g1 = u1.T @ u1
         u2 = ridge(state, 1, np.einsum("ijr,ir->jr", zt, u1), g3, g1, cfg.lam, mu)
         kr = khatri_rao(u1, u2)
-        u3 = ridge(state, 2, (kr.T @ x3).T, g1, u2.T @ u2, cfg.lam, mu)
+        h = len(kr) // 2
+        mttkrp = kr[:h].T @ x3[:h] + kr[h:].T @ x3[h:]
+        u3 = ridge(state, 2, mttkrp.T, g1, u2.T @ u2, cfg.lam, mu)
         state = FactorSet(U=(u1, u2, u3), M=state.M, Y=state.Y)
         state = update_auxiliary(state, cfg.alpha, mu)
         u3 = state.U[2]
@@ -1003,6 +1031,108 @@ class TestParityWithOwnLoop:
     @pytest.mark.parametrize("dims", [(30, 48, 50), (31, 48, 114)])
     def test_own_loop_within_rounding_sensitivity_at_default_rank(self, dims):
         assert_within_rounding_sensitivity(reference_own_loop_complete, dims)
+
+
+def on_main_thread():
+    return threading.current_thread() is threading.main_thread()
+
+
+class TestWorker:
+    """From ``_THREAD_MIN_SIZE`` entries on, a worker thread forms half of
+    the mode-3 MTTKRP and rebuilds half of the completion's blocks, with the
+    same bits as one thread, and every solve ends it."""
+
+    def threaded(self, monkeypatch, threaded=True, block_bytes=40 * 400):
+        # 30x48x50 rows of 400 bytes cut into 36 blocks, 18 a thread.
+        monkeypatch.setattr(cpd_lrtc, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(cpd_lrtc, "_THREAD_MIN_SIZE", 1 if threaded else 10**12)
+
+    def record_blocks(self, monkeypatch, fail_on=None):
+        """Count each thread's calls of the block pass; the ``fail_on``
+        thread's third call raises instead."""
+        calls = {True: 0, False: 0}
+        rebuild = cpd_lrtc._rebuild_blocks
+
+        def recording(blocks, *args):
+            on_main = on_main_thread()
+            calls[on_main] += 1
+            if fail_on == ("caller" if on_main else "worker") and calls[on_main] == 3:
+                raise NumericalError("stand-in failure")
+            return rebuild(blocks, *args)
+
+        monkeypatch.setattr(cpd_lrtc, "_rebuild_blocks", recording)
+        return calls
+
+    @pytest.mark.parametrize("rank", [5, None])
+    def test_threaded_solve_is_bit_identical(self, monkeypatch, rank):
+        t, mask = parity_instance((30, 48, 50), 0.9)
+        cfg = SolverConfig(rank=rank, max_iters=60)
+        self.threaded(monkeypatch, threaded=False)
+        calls = self.record_blocks(monkeypatch)
+        inline = complete(t, mask, cfg)
+        assert calls == {True: 2 * inline.iterations, False: 0}
+        self.threaded(monkeypatch)
+        calls = self.record_blocks(monkeypatch)
+        threaded = complete(t, mask, cfg)
+        assert calls == {True: threaded.iterations, False: threaded.iterations}
+        assert np.array_equal(threaded.completed, inline.completed)
+        assert threaded.residual_history == inline.residual_history
+        ref, ref_history, _, _ = reference_blocked_complete(t, mask, cfg)
+        assert np.array_equal(threaded.completed, ref)
+        assert threaded.residual_history == ref_history
+
+    def test_small_tensors_start_no_worker(self, monkeypatch):
+        t, mask = parity_instance((30, 48, 50), 0.9)
+        monkeypatch.setattr(cpd_lrtc, "_THREAD_MIN_SIZE", t.size + 1)
+        calls = self.record_blocks(monkeypatch)
+        report = complete(t, mask, SolverConfig(rank=5, max_iters=3))
+        assert calls == {True: 2 * report.iterations, False: 0}
+        monkeypatch.setattr(cpd_lrtc, "_THREAD_MIN_SIZE", t.size)
+        calls = self.record_blocks(monkeypatch)
+        report = complete(t, mask, SolverConfig(rank=5, max_iters=3))
+        assert calls == {True: report.iterations, False: report.iterations}
+
+    @pytest.mark.parametrize(
+        "max_iters,converged", [(500, True), (6, False)], ids=["converged", "max_iters"]
+    )
+    def test_solve_leaves_no_thread(self, monkeypatch, max_iters, converged):
+        t, mask = parity_instance((30, 48, 50), 0.5)
+        self.threaded(monkeypatch)
+        before = threading.active_count()
+        report = complete(t, mask, SolverConfig(rank=5, max_iters=max_iters))
+        assert report.converged == converged
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_error_in_either_half_names_the_iteration(self, monkeypatch, failing):
+        t, mask = parity_instance((30, 48, 50), 0.5)
+        self.threaded(monkeypatch)
+        calls = self.record_blocks(monkeypatch, fail_on=failing)
+        before = threading.active_count()
+        with pytest.raises(NumericalError, match=r"^iteration 3: stand-in failure$"):
+            complete(t, mask, SolverConfig(rank=5, max_iters=10))
+        assert threading.active_count() == before
+        # The other thread ran its half of iteration 3, and nothing after it.
+        assert calls == {True: 3, False: 3}
+
+    def test_worker_sees_the_callers_error_state(self, monkeypatch):
+        # numpy keeps np.errstate in a context variable; the worker runs its
+        # half in a copy of the caller's context, taken inside
+        # update_completion's errstate(over="ignore").
+        t, mask = parity_instance((30, 48, 50), 0.5)
+        self.threaded(monkeypatch)
+        seen = []
+        rebuild = cpd_lrtc._rebuild_blocks
+
+        def recording(blocks, *args):
+            err = np.geterr()
+            seen.append((on_main_thread(), err["divide"], err["over"]))
+            return rebuild(blocks, *args)
+
+        monkeypatch.setattr(cpd_lrtc, "_rebuild_blocks", recording)
+        with np.errstate(divide="raise"):
+            complete(t, mask, SolverConfig(rank=5, max_iters=3))
+        assert sorted(seen) == [(False, "raise", "ignore")] * 3 + [(True, "raise", "ignore")] * 3
 
 
 def svd_path_reference(monkeypatch):

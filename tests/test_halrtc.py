@@ -6,14 +6,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import reference_svd_svt
+from conftest import project, reference_svd_svt
 
 from meterfill import halrtc
 from meterfill.cpd_lrtc import NumericalError, SolverConfig, complete, svt
 from meterfill.data import SynthSpec, derive_seed, simulate_missing, synth_load_tensor
 from meterfill.halrtc import HalrtcConfig, complete_halrtc
 from meterfill.benchmark import rse
-from meterfill.tensor_ops import fold, fro_norm, project, unfold
+from meterfill.tensor_ops import fold, fro_norm, unfold
 
 
 def parity_instance(dims, rate):

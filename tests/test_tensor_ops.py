@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import project
 
 from meterfill.tensor_ops import (
     as_mask,
@@ -14,7 +15,6 @@ from meterfill.tensor_ops import (
     fold,
     fro_norm,
     khatri_rao,
-    project,
     unfold,
 )
 
