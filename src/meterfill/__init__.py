@@ -1,5 +1,6 @@
 """Low-rank tensor completion for smart-meter measurement data."""
 
+from .admm import CompletionReport, NumericalError
 from .benchmark import (
     BenchResult,
     baseline_linear_interp,
@@ -12,9 +13,7 @@ from .benchmark import (
     write_results_csv,
 )
 from .cpd_lrtc import (
-    CompletionReport,
     FactorSet,
-    NumericalError,
     SolverConfig,
     complete,
     svt,

@@ -1,0 +1,193 @@
+"""The ADMM loop both solvers share, with its report and its one worker thread.
+
+Each solver (:mod:`meterfill.cpd_lrtc`, :mod:`meterfill.halrtc`) supplies
+only a step from the current completion to the next and the norm of the
+change; :func:`_run_admm` does the rest, and starts the solve's worker
+thread for a large tensor, which a step reaches only through :func:`_beside`.
+"""
+
+from __future__ import annotations
+
+import contextvars
+import threading
+import time
+from dataclasses import dataclass
+
+import numpy as np
+
+from .data import PrefillResult
+from .tensor_ops import as_mask, as_tensor, check_int, fro_norm
+
+
+class NumericalError(RuntimeError):
+    """Raised when a solve produces non-finite values or a linear solve, SVD or
+    eigendecomposition fails."""
+
+
+@dataclass(frozen=True, eq=False)
+class CompletionReport:
+    """Outcome of one completion solve, or of a baseline fill with no iterations.
+
+    residual_history holds the relative change of X per iteration, so its
+    length is :attr:`iterations`; svd_shapes lists each mode's ``I_n x J``
+    matrix for singular value thresholding (``svt``), HaLRTC's with its
+    columns in another order and its mode-3 matrix transposed. Only
+    :func:`~meterfill.benchmark.complete_dataset` sets ``prefill`` (the
+    power-identity pre-fill it ran) and ``standardized`` (per-channel scaling).
+    """
+
+    completed: np.ndarray
+    converged: bool
+    residual_history: tuple[float, ...]
+    wall_time: float
+    svd_shapes: tuple[tuple[int, int], ...] = ()
+    prefill: PrefillResult | None = None
+    standardized: bool = False
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residual_history)
+
+
+class _Worker:
+    """One thread, started per solve by :func:`_run_admm`, that runs one task at a time."""
+
+    def __init__(self):
+        self._task = self._error = None
+        self._go, self._done = threading.Semaphore(0), threading.Semaphore(0)
+        self._thread = threading.Thread(target=self._serve, name="meterfill-worker", daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while True:
+            self._go.acquire()
+            if self._task is None:
+                return
+            try:
+                self._task()
+            except BaseException as err:  # handed to the waiting thread
+                self._error = err
+            self._task = None
+            self._done.release()
+
+    def handoff(self, ours: tuple, theirs: tuple) -> None:
+        """The ``(fn, *args)`` calls ``ours`` here and ``theirs`` on the thread.
+
+        ``theirs`` runs in a copy of the caller's context, since numpy keeps
+        ``np.errstate`` in a context variable that a new thread does not
+        inherit. Whatever ``ours`` raises, the thread is waited for; an error
+        of either is raised, ours first, and none is kept for the next.
+        """
+        context = contextvars.copy_context()
+        self._task = lambda: context.run(*theirs)
+        self._go.release()
+        try:
+            ours[0](*ours[1:])
+        finally:
+            self._done.acquire()
+            error, self._error = self._error, None
+        if error is not None:
+            raise error
+
+    def close(self):
+        self._task = None
+        self._go.release()
+        self._thread.join()
+
+
+def _beside(worker: _Worker | None, first: tuple, second: tuple) -> None:
+    """Run the ``(fn, *args)`` calls ``first`` here and ``second`` on ``worker``.
+
+    Without a worker both run here, first then second. A tracer that wraps
+    meterfill's public functions sees no call on CPD-LRTC's worker, which
+    runs numpy and private helpers only, but sees HaLRTC's worker call
+    ``halrtc.svt`` once an iteration while the caller's spans are open.
+    """
+    if worker is not None:
+        return worker.handoff(first, second)
+    for fn, *args in (first, second):
+        fn(*args)
+
+
+def _check_admm_fields(cfg) -> None:
+    """Validate the fields both solver configs share; normalizes ``alpha`` to floats.
+
+    A float passes only when finite and in range, so NaN and inf fail.
+    ``mu0=None`` passes here; a config that cannot adapt mu0 rejects it itself.
+    """
+    object.__setattr__(cfg, "alpha", tuple(float(a) for a in cfg.alpha))
+    if len(cfg.alpha) != 3 or not all(0 <= a < np.inf for a in cfg.alpha):
+        raise ValueError("alpha must be three finite nonnegative weights")
+    if not abs(sum(cfg.alpha) - 1.0) <= 1e-12:
+        raise ValueError("alpha weights must sum to 1")
+    if cfg.mu0 is not None and not 0 < cfg.mu0 < np.inf:
+        raise ValueError("mu0 must be positive and finite")
+    if not 0 < cfg.mu_max < np.inf:
+        raise ValueError("mu_max must be positive and finite")
+    if not 1 <= cfg.rho < np.inf:
+        raise ValueError("rho must be finite and >= 1")
+    if not 0 < cfg.epsilon < 1:
+        raise ValueError("epsilon must lie in (0, 1)")
+    check_int(cfg.max_iters, "max_iters", 1)
+
+
+def _observed_input(truth, mask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first iterate and the observed entries, found once per solve.
+
+    Returns ``(x0, observed_idx, observed)``: a new tensor holding the
+    observed entries of the validated ``truth`` and zeros elsewhere, the flat
+    C-order positions of the observed entries, as
+    :func:`~meterfill.cpd_lrtc.completion_blocks` takes them, and their
+    values. The mask must select at least one entry.
+    """
+    t = as_tensor(truth)
+    m = as_mask(mask, t.shape)
+    observed_idx = np.flatnonzero(m)
+    if not observed_idx.size:
+        raise ValueError("mask selects no observed entries")
+    return np.where(m, t, 0.0), observed_idx, t[m]
+
+
+def _run_admm(x: np.ndarray, cfg, mu: float, step, svd_shapes, threaded: bool) -> CompletionReport:
+    """The outer ADMM loop of both solvers, from completion ``x`` and penalty ``mu``.
+
+    ``step(x, mu, worker)`` advances the solver's own state by one iteration
+    and returns ``(x_new, change)``: the next completion and
+    ``||x_new - x||_F``. The step owns x's buffer: CPD-LRTC returns x itself,
+    overwritten in place; HaLRTC returns its spare buffer and spends x on the
+    difference, after which x's buffer is the next spare. ``worker`` is the
+    :class:`_Worker` started here when ``threaded`` and ended however the
+    solve ends, or None; ``wall_time`` times the iterations alone.
+    """
+    denom = fro_norm(x) or 1.0
+    history: list[float] = []
+
+    worker = _Worker() if threaded else None
+    try:
+        start = time.perf_counter()
+        for k in range(cfg.max_iters):
+            try:
+                x, change = step(x, mu, worker)
+            except NumericalError as err:
+                raise NumericalError(f"iteration {k + 1}: {err}") from err
+            # x was finite, so a non-finite completion (or a difference too large
+            # to square) shows up as a non-finite change.
+            if not np.isfinite(change):
+                raise NumericalError(f"iteration {k + 1}: completion diverged to non-finite values")
+            resid = change / denom
+            history.append(resid)
+            mu = min(cfg.rho * mu, cfg.mu_max)
+            if resid <= cfg.epsilon:
+                break
+        wall = time.perf_counter() - start
+    finally:
+        if worker is not None:
+            worker.close()
+
+    return CompletionReport(
+        completed=x,
+        converged=history[-1] <= cfg.epsilon,
+        residual_history=tuple(history),
+        wall_time=wall,
+        svd_shapes=svd_shapes,
+    )

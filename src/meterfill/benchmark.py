@@ -1,6 +1,6 @@
 """Error metrics, naive baselines, dataset-level completion, and the benchmark harness.
 
-:func:`complete_dataset` returns the method's own :class:`~meterfill.cpd_lrtc.CompletionReport`.
+:func:`complete_dataset` returns the method's own :class:`~meterfill.admm.CompletionReport`.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import cpd_lrtc, halrtc
+from . import admm, cpd_lrtc, halrtc
 from .data import (
     ELECTRICAL_RANGES,
     LAYOUT_MULTI_MEASUREMENT,
@@ -95,7 +95,7 @@ def complete_dataset(
     cpd_cfg: cpd_lrtc.SolverConfig | None = None,
     halrtc_cfg: halrtc.HalrtcConfig | None = None,
     prefill: bool | None = None,
-) -> cpd_lrtc.CompletionReport:
+) -> admm.CompletionReport:
     """Run one method over a masked dataset, handling pre-fill and scaling.
 
     Multi-measurement datasets are pre-filled through the power identity
@@ -127,7 +127,7 @@ def complete_dataset(
         fill = baseline_mean_fill if method == "mean" else baseline_linear_interp
         start = time.perf_counter()
         filled = fill(work)
-        report = cpd_lrtc.CompletionReport(filled, True, (), time.perf_counter() - start)
+        report = admm.CompletionReport(filled, True, (), time.perf_counter() - start)
     # Each solver and fill returns a new array, so the mapping back writes into it.
     completed = report.completed
     if standardized:

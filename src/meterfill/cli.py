@@ -16,7 +16,8 @@ import sys
 import numpy as np
 
 from . import benchmark, data
-from .cpd_lrtc import NumericalError, SolverConfig
+from .admm import NumericalError
+from .cpd_lrtc import SolverConfig
 from .halrtc import HalrtcConfig
 
 

@@ -20,10 +20,9 @@ with the penalty ``mu`` growing geometrically up to a cap. Iteration stops
 when the relative change ``||X_new - X_old||_F / ||X_0||_F`` drops to the
 configured tolerance.
 
-This outer loop (penalty schedule, stopping rule, non-finite check, timing,
-report) is shared with the comparator in :mod:`meterfill.halrtc`; each solver
-supplies only a step from the current completion to the next and the norm of
-the change.
+The outer loop (penalty schedule, stopping rule, non-finite check, timing,
+report) is :mod:`meterfill.admm`'s, shared with :mod:`meterfill.halrtc`; this
+module supplies the step from one completion to the next and its change.
 
 The CPD step never unfolds X and makes one read pass and one blocked
 read-write pass over it per iteration. The matricized-tensor-times-Khatri-Rao
@@ -39,13 +38,11 @@ rows of the next sweep's Z (whose pre-sweep U3 is this U3). So the factor
 sweep never forms Z itself, and an iteration allocates no tensor.
 
 Both passes run on two threads for tensors of at least ``_THREAD_MIN_SIZE``
-entries: a worker thread, started once per solve, forms the second row half
-of the mode-3 MTTKRP and rebuilds the second half of the blocks. The MTTKRP
-is the sum of its two halves, and the change sums the blocks' squares in
-block order, with or without the worker, so the completion is the same to
-the bit on one thread or two. The worker calls only numpy and private
-helpers, so a tracer that wraps this module's public functions sees every
-call on the calling thread.
+entries: the worker thread that the shared loop starts once per solve forms
+the second row half of the mode-3 MTTKRP and rebuilds the second half of the
+blocks. The MTTKRP is the sum of its two halves, and the change sums the
+blocks' squares in block order, with or without the worker, so the
+completion is the same to the bit on one thread or two.
 
 :func:`svt`, which both solvers call, needs only the singular values above
 its threshold and their subspace, and takes both from the ``eigh`` of the
@@ -55,92 +52,17 @@ Gram cannot be trusted go to a thin SVD."""
 
 from __future__ import annotations
 
-import contextvars
 import math
-import threading
-import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .tensor_ops import as_mask, as_tensor, check_int, fro_norm, khatri_rao
-
-if TYPE_CHECKING:
-    from .data import PrefillResult
+from .admm import CompletionReport, NumericalError, _check_admm_fields, _observed_input, _run_admm
+from .admm import _beside, _Worker
+from .tensor_ops import check_int, khatri_rao
 
 # Not called here; kept reachable as ``cpd_lrtc.unfold`` for code that looks it up on this module.
 from .tensor_ops import unfold  # noqa: F401
-
-
-class NumericalError(RuntimeError):
-    """Raised when a solve produces non-finite values or a linear solve, SVD or
-    eigendecomposition fails."""
-
-
-class _Worker:
-    """One thread that runs one task at a time for the thread that made it.
-
-    :meth:`submit` hands it ``fn(*args)``, run in a copy of the caller's
-    context: numpy keeps its error state (``np.errstate``) in a context
-    variable, which a new thread does not inherit. :meth:`wait` blocks until
-    the task has ended and returns its exception, or None; :meth:`close`
-    ends the thread. Both solvers start one per solve for large tensors.
-    """
-
-    def __init__(self):
-        self._task = self._error = None
-        self._go, self._done = threading.Semaphore(0), threading.Semaphore(0)
-        self._thread = threading.Thread(target=self._serve, name="meterfill-worker", daemon=True)
-        self._thread.start()
-
-    def _serve(self):
-        while True:
-            self._go.acquire()
-            if self._task is None:
-                return
-            try:
-                self._task()
-            except BaseException as err:  # handed to the waiting thread
-                self._error = err
-            self._task = None
-            self._done.release()
-
-    def submit(self, fn, *args):
-        context = contextvars.copy_context()
-        self._task = lambda: context.run(fn, *args)
-        self._go.release()
-
-    def wait(self) -> BaseException | None:
-        self._done.acquire()
-        error, self._error = self._error, None
-        return error
-
-    def close(self):
-        self._task = None
-        self._go.release()
-        self._thread.join()
-
-
-def _beside(worker: _Worker | None, fn, first: tuple, second: tuple) -> None:
-    """``fn(*first)`` on the calling thread and ``fn(*second)`` on ``worker``.
-
-    Without a worker both run here, first then second. The worker is waited
-    for whatever ``fn(*first)`` raises; an error of either call is raised,
-    the caller's first. ``fn`` must not be a public meterfill function, so
-    that a tracer wrapping those records no span on the worker thread.
-    """
-    if worker is None:
-        fn(*first)
-        fn(*second)
-        return
-    worker.submit(fn, *second)
-    try:
-        fn(*first)
-    finally:
-        error = worker.wait()
-    if error is not None:
-        raise error
 
 
 # A kept singular value s comes out of the Gram's eigenvalue s**2, whose
@@ -164,28 +86,6 @@ _BLOCK_BYTES = 512 * 1024
 # sweep from 259k to 691k entries found no gain up to 518k (90x96x60) and 16%
 # from 576k (40x48x300) on (CHANGES.md).
 _THREAD_MIN_SIZE = 550_000
-
-
-def _check_admm_fields(cfg) -> None:
-    """Validate the fields both solver configs share; normalizes ``alpha`` to floats.
-
-    A float passes only when finite and in range, so NaN and inf fail.
-    ``mu0=None`` passes here; a config that cannot adapt mu0 rejects it itself.
-    """
-    object.__setattr__(cfg, "alpha", tuple(float(a) for a in cfg.alpha))
-    if len(cfg.alpha) != 3 or not all(0 <= a < np.inf for a in cfg.alpha):
-        raise ValueError("alpha must be three finite nonnegative weights")
-    if not abs(sum(cfg.alpha) - 1.0) <= 1e-12:
-        raise ValueError("alpha weights must sum to 1")
-    if cfg.mu0 is not None and not 0 < cfg.mu0 < np.inf:
-        raise ValueError("mu0 must be positive and finite")
-    if not 0 < cfg.mu_max < np.inf:
-        raise ValueError("mu_max must be positive and finite")
-    if not 1 <= cfg.rho < np.inf:
-        raise ValueError("rho must be finite and >= 1")
-    if not 0 < cfg.epsilon < 1:
-        raise ValueError("epsilon must lie in (0, 1)")
-    check_int(cfg.max_iters, "max_iters", 1)
 
 
 @dataclass(frozen=True)
@@ -247,31 +147,6 @@ class FactorSet:
     @property
     def dims(self) -> tuple[int, int, int]:
         return tuple(u.shape[0] for u in self.U)
-
-
-@dataclass(frozen=True, eq=False)
-class CompletionReport:
-    """Outcome of one completion solve, or of a baseline fill with no iterations.
-
-    residual_history holds the relative change of X per iteration, so its
-    length is :attr:`iterations`; svd_shapes lists each mode's ``I_n x J``
-    matrix for singular value thresholding (:func:`svt`), HaLRTC's with its
-    columns in another order and its mode-3 matrix transposed. Only
-    :func:`~meterfill.benchmark.complete_dataset` sets ``prefill`` (the
-    power-identity pre-fill it ran) and ``standardized`` (per-channel scaling).
-    """
-
-    completed: np.ndarray
-    converged: bool
-    residual_history: tuple[float, ...]
-    wall_time: float
-    svd_shapes: tuple[tuple[int, int], ...] = ()
-    prefill: PrefillResult | None = None
-    standardized: bool = False
-
-    @property
-    def iterations(self) -> int:
-        return len(self.residual_history)
 
 
 def svt(m: np.ndarray, tau: float, *, out: np.ndarray | None = None) -> np.ndarray:
@@ -376,8 +251,8 @@ def update_factors(
 
     The mode-3 MTTKRP is always the sum of two row halves,
     ``kr[:h].T @ X_(12)[:h] + kr[h:].T @ X_(12)[h:]``; ``worker``, the thread
-    :func:`complete` starts for a large tensor, forms the second half beside
-    the first, with the same bits as without it.
+    the shared ADMM loop starts when :func:`complete` solves a large tensor,
+    forms the second half beside the first, with the same bits as without it.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != state.dims:
@@ -393,7 +268,7 @@ def update_factors(
     kr = khatri_rao(u1, u2)
     h = len(kr) // 2
     halves = np.empty((2, kr.shape[1], i3))
-    _beside(worker, np.matmul, (kr[:h].T, x3[:h], halves[0]), (kr[h:].T, x3[h:], halves[1]))
+    _beside(worker, (np.matmul, kr[:h].T, x3[:h], halves[0]), (np.matmul, kr[h:].T, x3[h:], halves[1]))
     mttkrp = (halves[0] + halves[1]).T
     u3 = _ridge_update(state, 2, mttkrp, g1, u2.T @ u2, lam, mu)
     return FactorSet(U=(u1, u2, u3), M=state.M, Y=state.Y)
@@ -472,9 +347,9 @@ def update_completion(
     next :func:`update_factors` takes. Returns ``||x_old - x_new||_F``, the
     blocks' squared changes summed in block order.
 
-    ``worker``, the thread :func:`complete` starts for a large tensor,
-    rebuilds the second half of the blocks, which must then have been cut
-    ``threaded``; the result is the same to the bit.
+    ``worker``, the thread the shared ADMM loop starts when :func:`complete`
+    solves a large tensor, rebuilds the second half of the blocks, which must
+    then have been cut ``threaded``; the result is the same to the bit.
     """
     if x.shape != state.dims or x.dtype != np.float64 or not x.flags.c_contiguous:
         raise ValueError(f"completion must be a C-ordered float64 tensor of dims {state.dims}")
@@ -487,7 +362,8 @@ def update_completion(
     ours, theirs = [], []
     # An overflow leaves a non-finite change, which the caller reports.
     with np.errstate(over="ignore"):
-        _beside(worker, _rebuild_blocks, (blocks[:h], ours, *operands), (blocks[h:], theirs, *operands))
+        _beside(worker, (_rebuild_blocks, blocks[:h], ours, *operands),
+                (_rebuild_blocks, blocks[h:], theirs, *operands))
     squared = 0.0
     for part in ours + theirs:
         squared += part
@@ -498,62 +374,6 @@ def update_multipliers(state: FactorSet, mu: float) -> FactorSet:
     """Dual ascent: ``Y_n += mu * (M_n - U_n)``."""
     y = tuple(state.Y[n] + mu * (state.M[n] - state.U[n]) for n in range(3))
     return FactorSet(U=state.U, M=state.M, Y=y)
-
-
-def _observed_input(truth, mask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The first iterate and the observed entries, found once per solve.
-
-    Returns ``(x0, observed_idx, observed)``: a new tensor holding the
-    observed entries of the validated ``truth`` and zeros elsewhere, the flat
-    C-order positions of the observed entries, as :func:`completion_blocks`
-    takes them, and their values. The mask must select at least one entry.
-    """
-    t = as_tensor(truth)
-    m = as_mask(mask, t.shape)
-    observed_idx = np.flatnonzero(m)
-    if not observed_idx.size:
-        raise ValueError("mask selects no observed entries")
-    return np.where(m, t, 0.0), observed_idx, t[m]
-
-
-def _run_admm(x: np.ndarray, cfg, mu: float, step, svd_shapes) -> CompletionReport:
-    """The outer ADMM loop of both solvers, from completion ``x`` and penalty ``mu``.
-
-    ``step(x, mu)`` advances the solver's own state by one iteration and
-    returns ``(x_new, change)``: the next completion and
-    ``||x_new - x||_F``. The step owns x's buffer: CPD-LRTC returns x itself,
-    overwritten in place; HaLRTC returns its spare buffer and spends x on the
-    difference, after which x's buffer is the next spare.
-    """
-    denom = fro_norm(x) or 1.0
-    history: list[float] = []
-    converged = False
-
-    start = time.perf_counter()
-    for k in range(cfg.max_iters):
-        try:
-            x, change = step(x, mu)
-        except NumericalError as err:
-            raise NumericalError(f"iteration {k + 1}: {err}") from err
-        # x was finite, so a non-finite completion (or a difference too large
-        # to square) shows up as a non-finite change.
-        if not np.isfinite(change):
-            raise NumericalError(f"iteration {k + 1}: completion diverged to non-finite values")
-        resid = change / denom
-        history.append(resid)
-        mu = min(cfg.rho * mu, cfg.mu_max)
-        if resid <= cfg.epsilon:
-            converged = True
-            break
-    wall = time.perf_counter() - start
-
-    return CompletionReport(
-        completed=x,
-        converged=converged,
-        residual_history=tuple(history),
-        wall_time=wall,
-        svd_shapes=svd_shapes,
-    )
 
 
 def complete(truth, mask, cfg: SolverConfig | None = None) -> CompletionReport:
@@ -570,7 +390,7 @@ def complete(truth, mask, cfg: SolverConfig | None = None) -> CompletionReport:
     blocks = completion_blocks(x.shape, observed_idx, observed, threaded=threaded)
     z = x.reshape(-1, x.shape[2]) @ state.U[2]
 
-    def step(x, mu):
+    def step(x, mu, worker):
         nonlocal state
         state = update_factors(state, x, cfg.lam, mu, z, worker)
         state = update_auxiliary(state, cfg.alpha, mu)
@@ -578,9 +398,4 @@ def complete(truth, mask, cfg: SolverConfig | None = None) -> CompletionReport:
         state = update_multipliers(state, mu)
         return x, change
 
-    worker = _Worker() if threaded else None
-    try:
-        return _run_admm(x, cfg, cfg.mu0, step, tuple((int(d), rank) for d in x.shape))
-    finally:
-        if worker is not None:
-            worker.close()
+    return _run_admm(x, cfg, cfg.mu0, step, tuple((int(d), rank) for d in x.shape), threaded)

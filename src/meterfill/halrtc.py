@@ -13,9 +13,9 @@ Like the CP-factor step, an iteration allocates no tensor: the step runs in a
 fixed workspace made once per solve (see :func:`complete_halrtc`). Like it
 too, the step runs on two threads, from a smaller size on: within an
 iteration the three mode subproblems depend only on X and their own duals,
-so the CP-factor solver's worker thread thresholds the mode with the
-largest dimension while the calling thread does the other two, and the
-completion is the same to the bit as on one.
+so the worker thread that the shared loop (:mod:`meterfill.admm`) starts
+thresholds the mode with the largest dimension while the calling thread
+does the other two, and the completion is the same to the bit as on one.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpd_lrtc import CompletionReport, _check_admm_fields, _observed_input, _run_admm, _Worker, svt
+from .admm import CompletionReport, _beside, _check_admm_fields, _observed_input, _run_admm
+from .cpd_lrtc import svt
 from .tensor_ops import fro_norm
 
 # Tensors of fewer entries than this run all three modes on the calling
@@ -131,41 +132,32 @@ def complete_halrtc(truth, mask, cfg: HalrtcConfig | None = None) -> CompletionR
         svt(op, cfg.alpha[n] / mu, out=m)
         np.subtract(m, np.divide(y, mu, out=op), out=op)
 
-    def step(x, mu):
+    def callers_half(x, mu, dual_mu):
+        # X = (M_1 - Y_1/mu + M_2 - Y_2/mu + M_3 - Y_3/mu) / 3, summed in
+        # mode order from zero as the reference loops sum it,
+        # ((0 + t1) + t2) + t3, where 0 + turns a -0.0 into +0.0. The
+        # caller's first term goes in before the worker's is ready; when
+        # the worker has mode 1 that term is t2, and (0 + t2) + t1 gives
+        # the same bits: addition commutes, and a sum with a zero term
+        # comes out the same either way.
+        mode(a, x, mu, dual_mu)
+        np.add(0.0, terms[a], out=spare)
+        mode(b, x, mu, dual_mu)
+
+    def step(x, mu, worker):
         nonlocal spare, dual_mu
-        if worker is None:
-            mode(w, x, mu, dual_mu)
-        else:
-            worker.submit(mode, w, x, mu, dual_mu)
-        try:
-            # X = (M_1 - Y_1/mu + M_2 - Y_2/mu + M_3 - Y_3/mu) / 3, summed in
-            # mode order from zero as the reference loops sum it,
-            # ((0 + t1) + t2) + t3, where 0 + turns a -0.0 into +0.0. The
-            # caller's first term goes in before the worker's is ready; when
-            # the worker has mode 1 that term is t2, and (0 + t2) + t1 gives
-            # the same bits: addition commutes, and a sum with a zero term
-            # comes out the same either way.
-            mode(a, x, mu, dual_mu)
-            x_new = np.add(0.0, terms[a], out=spare)
-            mode(b, x, mu, dual_mu)
-        finally:
-            error = worker.wait() if worker is not None else None
-        if error is not None:
-            raise error
+        # Inline, the worker's mode runs last; the modes write disjoint buffers.
+        _beside(worker, (callers_half, x, mu, dual_mu), (mode, w, x, mu, dual_mu))
+        x_new, spare = spare, x  # x's buffer is the next spare
         for n in last_two:
             x_new += terms[n]
         np.divide(x_new, 3.0, out=x_new)
         x_new.reshape(-1)[observed_idx] = observed
         dual_mu = mu
         # x is finite, so a non-finite x_new (or a difference too large to
-        # square) shows up as a non-finite change; x's buffer is the next spare.
-        spare = x
+        # square) shows up as a non-finite change.
         with np.errstate(over="ignore"):
             return x_new, fro_norm(np.subtract(x, x_new, out=x))
 
-    worker = _Worker() if x.size >= _THREAD_MIN_SIZE else None
-    try:
-        return _run_admm(x, cfg, mu0, step, tuple((d, x.size // d) for d in x.shape))
-    finally:
-        if worker is not None:
-            worker.close()
+    svd_shapes = tuple((d, x.size // d) for d in x.shape)
+    return _run_admm(x, cfg, mu0, step, svd_shapes, x.size >= _THREAD_MIN_SIZE)

@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 from conftest import project, reference_svd_svt
 
-from meterfill import cpd_lrtc
+from meterfill import admm, cpd_lrtc
 from meterfill.cpd_lrtc import (
     FactorSet,
     NumericalError,
@@ -595,7 +595,7 @@ class TestCompletionBlocks:
         state = random_state(self.DIMS, 3, seed=22)
         t, blocks = self.blocks_of(monkeypatch, 3 * 48, mask)
         z = np.empty((20, 3))
-        worker = cpd_lrtc._Worker()
+        worker = admm._Worker()
         try:
             with pytest.raises(ValueError, match="threaded=True"):
                 update_completion(state, t.copy(), z, blocks, worker)
