@@ -2,15 +2,18 @@
 
 Each solver (:mod:`meterfill.cpd_lrtc`, :mod:`meterfill.halrtc`) supplies
 only a step from the current completion to the next and the norm of the
-change; :func:`_run_admm` does the rest, and starts the solve's worker
-thread for a large tensor, which a step reaches only through :func:`_beside`.
+change; :func:`_run_admm` does the rest, and for a large tensor makes the
+solve's worker thread, a one-thread
+:class:`concurrent.futures.ThreadPoolExecutor`, which a step reaches only
+through :func:`_beside`.
 """
 
 from __future__ import annotations
 
 import contextvars
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,64 +52,29 @@ class CompletionReport:
         return len(self.residual_history)
 
 
-class _Worker:
-    """One thread, started per solve by :func:`_run_admm`, that runs one task at a time."""
+def _beside(pool: ThreadPoolExecutor | None, first: tuple, second: tuple) -> None:
+    """Run the ``(fn, *args)`` calls ``first`` here and ``second`` on ``pool``'s thread.
 
-    def __init__(self):
-        self._task = self._error = None
-        self._go, self._done = threading.Semaphore(0), threading.Semaphore(0)
-        self._thread = threading.Thread(target=self._serve, name="meterfill-worker", daemon=True)
-        self._thread.start()
-
-    def _serve(self):
-        while True:
-            self._go.acquire()
-            if self._task is None:
-                return
-            try:
-                self._task()
-            except BaseException as err:  # handed to the waiting thread
-                self._error = err
-            self._task = None
-            self._done.release()
-
-    def handoff(self, ours: tuple, theirs: tuple) -> None:
-        """The ``(fn, *args)`` calls ``ours`` here and ``theirs`` on the thread.
-
-        ``theirs`` runs in a copy of the caller's context, since numpy keeps
-        ``np.errstate`` in a context variable that a new thread does not
-        inherit. Whatever ``ours`` raises, the thread is waited for; an error
-        of either is raised, ours first, and none is kept for the next.
-        """
-        context = contextvars.copy_context()
-        self._task = lambda: context.run(*theirs)
-        self._go.release()
-        try:
-            ours[0](*ours[1:])
-        finally:
-            self._done.acquire()
-            error, self._error = self._error, None
-        if error is not None:
-            raise error
-
-    def close(self):
-        self._task = None
-        self._go.release()
-        self._thread.join()
-
-
-def _beside(worker: _Worker | None, first: tuple, second: tuple) -> None:
-    """Run the ``(fn, *args)`` calls ``first`` here and ``second`` on ``worker``.
-
-    Without a worker both run here, first then second. A tracer that wraps
-    meterfill's public functions sees no call on CPD-LRTC's worker, which
-    runs numpy and private helpers only, but sees HaLRTC's worker call
-    ``halrtc.svt`` once an iteration while the caller's spans are open.
+    ``second`` runs in a copy of the caller's context, since numpy keeps
+    ``np.errstate`` in a context variable that a new thread does not
+    inherit. Whatever ``first`` raises, ``second`` is waited for; an error of
+    either is raised, first's before second's. Without a pool both run here,
+    first then second. A tracer that wraps meterfill's public functions sees
+    no call on CPD-LRTC's worker, which runs numpy and private helpers only,
+    but sees HaLRTC's worker call ``halrtc.svt`` once an iteration while the
+    caller's spans are open.
     """
-    if worker is not None:
-        return worker.handoff(first, second)
-    for fn, *args in (first, second):
-        fn(*args)
+    if pool is None:
+        for fn, *args in (first, second):
+            fn(*args)
+        return
+    future = pool.submit(contextvars.copy_context().run, *second)
+    try:
+        first[0](*first[1:])
+    finally:
+        error = future.exception()
+    if error is not None:
+        raise error
 
 
 def _check_admm_fields(cfg) -> None:
@@ -156,14 +124,14 @@ def _run_admm(x: np.ndarray, cfg, mu: float, step, svd_shapes, threaded: bool) -
     ``||x_new - x||_F``. The step owns x's buffer: CPD-LRTC returns x itself,
     overwritten in place; HaLRTC returns its spare buffer and spends x on the
     difference, after which x's buffer is the next spare. ``worker`` is the
-    :class:`_Worker` started here when ``threaded`` and ended however the
-    solve ends, or None; ``wall_time`` times the iterations alone.
+    one-thread :class:`~concurrent.futures.ThreadPoolExecutor` made here when
+    ``threaded`` and shut down however the solve ends, or None;
+    ``wall_time`` times the iterations alone.
     """
     denom = fro_norm(x) or 1.0
     history: list[float] = []
 
-    worker = _Worker() if threaded else None
-    try:
+    with ThreadPoolExecutor(1, "meterfill-worker") if threaded else nullcontext() as worker:
         start = time.perf_counter()
         for k in range(cfg.max_iters):
             try:
@@ -180,9 +148,6 @@ def _run_admm(x: np.ndarray, cfg, mu: float, step, svd_shapes, threaded: bool) -
             if resid <= cfg.epsilon:
                 break
         wall = time.perf_counter() - start
-    finally:
-        if worker is not None:
-            worker.close()
 
     return CompletionReport(
         completed=x,

@@ -312,7 +312,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (data.DataError, NumericalError, ValueError, OSError) as err:
+    except (data.DataError, NumericalError, ValueError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -38,11 +38,12 @@ rows of the next sweep's Z (whose pre-sweep U3 is this U3). So the factor
 sweep never forms Z itself, and an iteration allocates no tensor.
 
 Both passes run on two threads for tensors of at least ``_THREAD_MIN_SIZE``
-entries: the worker thread that the shared loop starts once per solve forms
-the second row half of the mode-3 MTTKRP and rebuilds the second half of the
-blocks. The MTTKRP is the sum of its two halves, and the change sums the
-blocks' squares in block order, with or without the worker, so the
-completion is the same to the bit on one thread or two.
+entries: the worker thread of the one-thread
+:class:`~concurrent.futures.ThreadPoolExecutor` that the shared loop makes
+once per solve forms the second row half of the mode-3 MTTKRP and rebuilds
+the second half of the blocks. The MTTKRP is the sum of its two halves, and
+the change sums the blocks' squares in block order, with or without the
+worker, so the completion is the same to the bit on one thread or two.
 
 :func:`svt`, which both solvers call, needs only the singular values above
 its threshold and their subspace, and takes both from the ``eigh`` of the
@@ -53,12 +54,13 @@ Gram cannot be trusted go to a thin SVD."""
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .admm import CompletionReport, NumericalError, _check_admm_fields, _observed_input, _run_admm
-from .admm import _beside, _Worker
+from .admm import _beside
 from .tensor_ops import check_int, khatri_rao
 
 # Not called here; kept reachable as ``cpd_lrtc.unfold`` for code that looks it up on this module.
@@ -238,7 +240,7 @@ def update_factors(
     lam: float,
     mu: float,
     z: np.ndarray | None = None,
-    worker: _Worker | None = None,
+    worker: ThreadPoolExecutor | None = None,
 ) -> FactorSet:
     """One Gauss-Seidel sweep of the factor subproblems.
 
@@ -250,8 +252,8 @@ def update_factors(
     from x.
 
     The mode-3 MTTKRP is always the sum of two row halves,
-    ``kr[:h].T @ X_(12)[:h] + kr[h:].T @ X_(12)[h:]``; ``worker``, the thread
-    the shared ADMM loop starts when :func:`complete` solves a large tensor,
+    ``kr[:h].T @ X_(12)[:h] + kr[h:].T @ X_(12)[h:]``; ``worker``, the pool
+    the shared ADMM loop makes when :func:`complete` solves a large tensor,
     forms the second half beside the first, with the same bits as without it.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -335,7 +337,7 @@ def _rebuild_blocks(blocks, squares: list, kr, u3, x3, z) -> None:
 
 
 def update_completion(
-    state: FactorSet, x: np.ndarray, z: np.ndarray, blocks, worker: _Worker | None = None
+    state: FactorSet, x: np.ndarray, z: np.ndarray, blocks, worker: ThreadPoolExecutor | None = None
 ) -> float:
     """Overwrite x with the CP reconstruction, observed entries written back in.
 
@@ -347,7 +349,7 @@ def update_completion(
     next :func:`update_factors` takes. Returns ``||x_old - x_new||_F``, the
     blocks' squared changes summed in block order.
 
-    ``worker``, the thread the shared ADMM loop starts when :func:`complete`
+    ``worker``, the pool the shared ADMM loop makes when :func:`complete`
     solves a large tensor, rebuilds the second half of the blocks, which must
     then have been cut ``threaded``; the result is the same to the bit.
     """

@@ -13,9 +13,11 @@ Like the CP-factor step, an iteration allocates no tensor: the step runs in a
 fixed workspace made once per solve (see :func:`complete_halrtc`). Like it
 too, the step runs on two threads, from a smaller size on: within an
 iteration the three mode subproblems depend only on X and their own duals,
-so the worker thread that the shared loop (:mod:`meterfill.admm`) starts
-thresholds the mode with the largest dimension while the calling thread
-does the other two, and the completion is the same to the bit as on one.
+so the worker thread of the one-thread
+:class:`~concurrent.futures.ThreadPoolExecutor` that the shared loop
+(:mod:`meterfill.admm`) makes thresholds the mode with the largest
+dimension while the calling thread does the other two, and the completion
+is the same to the bit as on one.
 """
 
 from __future__ import annotations
@@ -29,9 +31,11 @@ from .cpd_lrtc import svt
 from .tensor_ops import fro_norm
 
 # Tensors of fewer entries than this run all three modes on the calling
-# thread: a handoff to the worker costs about 0.3 ms an iteration, more than
-# the overlap saves below it. A sweep from 16x24x32 to 24x36x40 put the
-# break-even between 18x27x36 and 18x30x40 (CHANGES.md).
+# thread: handing a mode to the worker costs about 0.35 ms an iteration
+# (threaded minus inline at 8x10x12, of which the pool's submit and wait take
+# about 0.04 ms), more than the overlap saves below it. Sweeps from 16x24x32
+# to 24x36x40 put the break-even between 18x27x36 and 18x30x40, or up to
+# 22x32x42 on a noisier host (CHANGES.md).
 _THREAD_MIN_SIZE = 20_000
 
 

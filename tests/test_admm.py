@@ -1,6 +1,7 @@
 """The ADMM machinery both solvers share: the worker handoff and where its names live."""
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -10,9 +11,8 @@ from meterfill import admm, cpd_lrtc, halrtc
 
 @pytest.fixture
 def worker():
-    w = admm._Worker()
-    yield w
-    w.close()
+    with ThreadPoolExecutor(1) as pool:
+        yield pool
 
 
 def record(calls, name):

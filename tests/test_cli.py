@@ -248,6 +248,18 @@ class TestComplete:
         assert run_cli("complete", "--input", tmp_path / "nope.csv", "--output", out) == 1
         assert not out.exists()
 
+    def test_grid_too_large_to_allocate_fails_without_output(self, tmp_path, capsys):
+        # Day 1e14 makes a 1e14 x 1 x 2 grid, 1.4 PiB: more than any address
+        # space, so the allocation fails at once.
+        path = tmp_path / "huge.csv"
+        path.write_text("day,slot,channel,value\n1,1,P,1.0\n100000000000000,1,u1,2.0\n")
+        out = tmp_path / "done.csv"
+        assert run_cli("complete", "--input", path, "--output", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("method", ["halrtc", "mean", "interp"])
     def test_other_methods(self, tmp_path, full_csv, method):
         masked = tmp_path / "masked.csv"

@@ -3,13 +3,14 @@
 import math
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.linalg
 from conftest import project, reference_svd_svt
 
-from meterfill import admm, cpd_lrtc
+from meterfill import cpd_lrtc
 from meterfill.cpd_lrtc import (
     FactorSet,
     NumericalError,
@@ -595,12 +596,9 @@ class TestCompletionBlocks:
         state = random_state(self.DIMS, 3, seed=22)
         t, blocks = self.blocks_of(monkeypatch, 3 * 48, mask)
         z = np.empty((20, 3))
-        worker = admm._Worker()
-        try:
+        with ThreadPoolExecutor(1) as worker:
             with pytest.raises(ValueError, match="threaded=True"):
                 update_completion(state, t.copy(), z, blocks, worker)
-        finally:
-            worker.close()
 
     def test_whole_solve_does_not_depend_on_block_size(self, monkeypatch):
         # Each row's arithmetic is the same in any block; only the order in
@@ -1047,8 +1045,9 @@ class TestWorker:
         monkeypatch.setattr(cpd_lrtc, "_BLOCK_BYTES", block_bytes)
         monkeypatch.setattr(cpd_lrtc, "_THREAD_MIN_SIZE", 1 if threaded else 10**12)
 
-    def record_blocks(self, monkeypatch, fail_on=None):
-        """Count each thread's calls of the block pass; the ``fail_on``
+    def record_blocks(self, monkeypatch, fail_on=None, workers=None):
+        """Count each thread's calls of the block pass, appending the thread
+        of each call off the main thread to ``workers``; the ``fail_on``
         thread's third call raises instead."""
         calls = {True: 0, False: 0}
         rebuild = cpd_lrtc._rebuild_blocks
@@ -1056,6 +1055,8 @@ class TestWorker:
         def recording(blocks, *args):
             on_main = on_main_thread()
             calls[on_main] += 1
+            if not on_main and workers is not None:
+                workers.append(threading.current_thread())
             if fail_on == ("caller" if on_main else "worker") and calls[on_main] == 3:
                 raise NumericalError("stand-in failure")
             return rebuild(blocks, *args)
@@ -1072,9 +1073,14 @@ class TestWorker:
         inline = complete(t, mask, cfg)
         assert calls == {True: 2 * inline.iterations, False: 0}
         self.threaded(monkeypatch)
-        calls = self.record_blocks(monkeypatch)
+        workers = []
+        calls = self.record_blocks(monkeypatch, workers=workers)
         threaded = complete(t, mask, cfg)
         assert calls == {True: threaded.iterations, False: threaded.iterations}
+        # One worker thread serves the whole solve, not one per handoff. The
+        # Thread objects are kept, so a second thread cannot reuse the id of
+        # one that ended.
+        assert len(set(workers)) == 1
         assert np.array_equal(threaded.completed, inline.completed)
         assert threaded.residual_history == inline.residual_history
         ref, ref_history, _, _ = reference_blocked_complete(t, mask, cfg)

@@ -226,7 +226,7 @@ class TestModeWorker:
         threshold = halrtc.svt
 
         def recording(m, tau, **kw):
-            calls.append((m.shape, threading.current_thread() is threading.main_thread()))
+            calls.append((m.shape, threading.current_thread()))
             return threshold(m, tau, **kw)
 
         monkeypatch.setattr(halrtc, "svt", recording)
@@ -234,9 +234,13 @@ class TestModeWorker:
         assert (math.prod(dims) >= halrtc._THREAD_MIN_SIZE) == (worker_mode is not None)
         i1, i2, i3 = dims
         mode_shapes = [(i1, i2 * i3), (i2, i1 * i3), (i1 * i2, i3)]
-        on_worker = [shape for shape, on_main in calls if not on_main]
+        off_main = [(shape, thread) for shape, thread in calls if thread is not threading.main_thread()]
         expected = [] if worker_mode is None else [mode_shapes[worker_mode]] * report.iterations
-        assert on_worker == expected
+        assert [shape for shape, _ in off_main] == expected
+        # One worker thread serves the whole solve, not one per handoff. The
+        # Thread objects are kept, so a second thread cannot reuse the id of
+        # one that ended.
+        assert len({thread for _, thread in off_main}) == (0 if worker_mode is None else 1)
         assert len(calls) == 3 * report.iterations
 
     @pytest.mark.parametrize(
