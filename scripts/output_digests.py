@@ -4,7 +4,9 @@ Prints one line per case: the sha256 of the completion's bytes, the
 iteration count, the converged flag and the sha256 of the residual history.
 Two versions of the package give bit-identical completions on these cases
 exactly when their printed lines are equal, so a refactor is checked by
-running this script on both and diffing the output.
+running this script on both and diffing the output. A leading ``#`` line
+names the Python, numpy and BLAS versions, so a diff between two hosts shows
+a changed environment before the hashes it changes.
 
 The cases are all four methods on a rank-3 users tensor at 50% and 90%
 missing, CPD-LRTC at rank 5 and at its default rank, HaLRTC also with
@@ -21,6 +23,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import hashlib
+import platform
 
 import numpy as np
 
@@ -39,6 +42,15 @@ from meterfill.data import (
 
 def _sha256(a) -> str:
     return hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64).tobytes()).hexdigest()
+
+
+def _blas() -> str:
+    """numpy's BLAS as ``name version``, read from its build configuration, or ``unknown``."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas['version']}"
+    except (KeyError, TypeError):
+        return "unknown"
 
 
 def cases(dims):
@@ -66,6 +78,7 @@ def main():
                     help="users tensor shape; the electrical tensor takes its days and slots")
     args = ap.parse_args()
 
+    print(f"# python {platform.python_version()}  numpy {np.__version__}  blas {_blas()}")
     print("case  completion_sha256  iterations  converged  history_sha256")
     for name, masked, kwargs in cases(tuple(args.dims)):
         try:

@@ -57,7 +57,8 @@ def _parse_rates(text: str) -> list[float]:
                 step = float(step_text) if step_text else 0.1
             except ValueError:
                 raise argparse.ArgumentTypeError(f"bad rate range {chunk!r}") from None
-            if step <= 0 or hi < lo:
+            # A non-finite bound, or a step so small that it overflows, gives no finite count.
+            if not 0 < step < math.inf or hi < lo or not math.isfinite((hi - lo) / step):
                 raise argparse.ArgumentTypeError(f"bad rate range {chunk!r}")
             count = math.floor((hi - lo) / step + 1e-9)
             rates += [round(lo + k * step, 10) for k in range(count + 1)]

@@ -159,6 +159,7 @@ def svt(m: np.ndarray, tau: float, *, out: np.ndarray | None = None) -> np.ndarr
     For a wide m, ``m m^T = Q diag(s**2) Q^T`` and the result is
     ``Q_k diag(1 - tau/s_k) Q_k^T m`` over the k singular values above tau;
     a tall m uses ``m^T m`` and returns ``m Q_k diag(1 - tau/s_k) Q_k^T``.
+    With no singular value above tau, k is 0 and the same product gives zeros.
     The thin SVD runs instead when the Gram cannot be trusted: it overflows,
     its largest eigenvalue is too small for the ratio test to be
     representable, or a kept singular value lies below ``1e-5`` of the
@@ -185,21 +186,16 @@ def svt(m: np.ndarray, tau: float, *, out: np.ndarray | None = None) -> np.ndarr
             lam, q = np.linalg.eigh(gram)
         except np.linalg.LinAlgError as err:
             raise NumericalError(f"eigendecomposition failed: {err}") from err
-        if lam.size and lam[-1] >= _GRAM_MIN_EIGENVALUE:
-            s = np.sqrt(np.maximum(lam, 0.0))
-            keep = s > tau
-            if not keep.any():
-                if out is None:
-                    return np.zeros_like(m)
-                out[...] = 0.0
-                return out
-            s_kept = s[keep]
-            if s_kept[0] >= _GRAM_MIN_RATIO * s_kept[-1]:
-                q_kept = q[:, keep]
-                # One small-side matrix, so each side of m is multiplied once
-                # however many singular values are kept.
-                shrink = (q_kept * (1.0 - tau / s_kept)) @ q_kept.T
-                return np.matmul(shrink, m, out=out) if wide else np.matmul(m, shrink, out=out)
+        s = np.sqrt(np.maximum(lam, 0.0))
+        keep = s > tau
+        s_kept = s[keep]
+        if (lam.size and lam[-1] >= _GRAM_MIN_EIGENVALUE
+                and (not s_kept.size or s_kept[0] >= _GRAM_MIN_RATIO * s_kept[-1])):
+            q_kept = q[:, keep]
+            # One small-side matrix (zero if none is kept), so each side of
+            # m is multiplied once however many singular values are kept.
+            shrink = (q_kept * (1.0 - tau / s_kept)) @ q_kept.T
+            return np.matmul(shrink, m, out=out) if wide else np.matmul(m, shrink, out=out)
     elif not np.all(np.isfinite(m)):
         raise NumericalError("SVT operand has non-finite entries")
     try:
@@ -284,7 +280,7 @@ def update_auxiliary(state: FactorSet, alpha, mu: float) -> FactorSet:
 
 def completion_blocks(
     dims, observed_idx: np.ndarray, observed: np.ndarray, *, threaded: bool = False
-) -> tuple:
+) -> tuple[tuple, tuple]:
     """The row blocks :func:`update_completion` works through, found once per solve.
 
     ``observed_idx`` holds strictly increasing flat C-order positions in a
@@ -295,11 +291,11 @@ def completion_blocks(
     least one, their observed positions as offsets from ``start * I3`` (the
     slices of ``observed_idx``, shifted in place: a copy would add half a
     tensor to the peak at 50% missing) and values, and a ``(stop - start, I3)``
-    view of a scratch buffer. All blocks share one buffer; ``threaded`` gives
-    the second half of them, which a worker thread rebuilds, a buffer of
-    their own. The buffers are allocated here, once per solve: allocated per
-    call, beside the Khatri-Rao product, one took a 30x48x50 rank-20
-    update_completion from 0.4 to about 1 ms.
+    view of a scratch buffer. Returns ``(first, second)``, cut at half the
+    block count: the blocks of the calling thread and of a worker. All share
+    one buffer unless ``threaded``, which gives ``second`` its own. Allocated
+    per call, beside the Khatri-Rao product, a buffer took a 30x48x50 rank-20
+    update_completion from 0.4 to about 1 ms, so they are allocated here.
     """
     i1, i2, i3 = (int(d) for d in dims)
     if observed_idx.shape != observed.shape:
@@ -311,7 +307,7 @@ def completion_blocks(
     rows = min(max(1, _BLOCK_BYTES // (8 * i3)), i1 * i2)
     bounds = np.append(np.arange(0, i1 * i2, rows), i1 * i2)
     cuts = np.searchsorted(observed_idx, bounds * i3)
-    h = (len(bounds) - 1) // 2  # the blocks update_completion keeps on the calling thread
+    h = (len(bounds) - 1) // 2  # the block count of first
     scratch = np.empty((rows, i3))
     blocks = []
     for k, (start, stop, a, b) in enumerate(zip(bounds[:-1], bounds[1:], cuts[:-1], cuts[1:])):
@@ -320,7 +316,7 @@ def completion_blocks(
         offsets = observed_idx[a:b]
         offsets -= start * i3
         blocks.append((int(start), int(stop), offsets, observed[a:b], scratch[: stop - start]))
-    return tuple(blocks)
+    return tuple(blocks[:h]), tuple(blocks[h:])
 
 
 def _rebuild_blocks(blocks, squares: list, kr, u3, x3, z) -> None:
@@ -342,7 +338,7 @@ def update_completion(
     """Overwrite x with the CP reconstruction, observed entries written back in.
 
     One pass over the row blocks of x's free ``(I1*I2, I3)`` matricization,
-    as :func:`completion_blocks` cut them; while a block is in cache it is
+    the halves :func:`completion_blocks` cut; while a block is in cache it is
     rebuilt in its scratch as ``khatri_rao(U1, U2)[rows] @ U3.T``, gets its
     observed entries, adds its part of the change, is stored in x, and writes
     ``z[rows]``, its rows of the ``(I1*I2, R)`` contraction with U3 that the
@@ -350,13 +346,13 @@ def update_completion(
     blocks' squared changes summed in block order.
 
     ``worker``, the pool the shared ADMM loop makes when :func:`complete`
-    solves a large tensor, rebuilds the second half of the blocks, which must
+    solves a large tensor, rebuilds ``second`` beside ``first``, which must
     then have been cut ``threaded``; the result is the same to the bit.
     """
     if x.shape != state.dims or x.dtype != np.float64 or not x.flags.c_contiguous:
         raise ValueError(f"completion must be a C-ordered float64 tensor of dims {state.dims}")
-    h = len(blocks) // 2
-    if worker is not None and h and np.may_share_memory(blocks[h - 1][4], blocks[h][4]):
+    first, second = blocks
+    if worker is not None and first and np.may_share_memory(first[-1][4], second[0][4]):
         raise ValueError("a worker needs blocks cut with threaded=True")
     u1, u2, u3 = state.U
     kr = khatri_rao(u1, u2)
@@ -364,8 +360,10 @@ def update_completion(
     ours, theirs = [], []
     # An overflow leaves a non-finite change, which the caller reports.
     with np.errstate(over="ignore"):
-        _beside(worker, (_rebuild_blocks, blocks[:h], ours, *operands),
-                (_rebuild_blocks, blocks[h:], theirs, *operands))
+        _beside(worker, (_rebuild_blocks, first, ours, *operands),
+                (_rebuild_blocks, second, theirs, *operands))
+    # Not sum(): from Python 3.12 it compensates float sums, so its bits would
+    # depend on the Python version (3.10 on) and differ from the tests' reference.
     squared = 0.0
     for part in ours + theirs:
         squared += part

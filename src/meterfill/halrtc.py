@@ -93,11 +93,12 @@ def complete_halrtc(truth, mask, cfg: HalrtcConfig | None = None) -> CompletionR
     average the ``M_n - Y_n / mu`` into X, re-impose the observed entries,
     then step the duals by the remaining mode residuals ``mu (X - M_n)``.
     Each mode's dual step is taken at the start of that mode's part of the
-    next iteration, so a mode depends only on X and its own dual, and the
-    mode with the largest dimension runs on a worker thread beside the
-    other two (for tensors of at least ``_THREAD_MIN_SIZE`` entries; smaller
-    ones run all three inline). The completion is the same to the bit
-    either way.
+    next iteration; the first iteration's, at penalty 0 on zero estimates,
+    leaves the duals at +0.0. So a mode depends only on X and its own dual,
+    and the mode with the largest dimension runs on a worker thread beside
+    the other two (for tensors of at least ``_THREAD_MIN_SIZE`` entries;
+    smaller ones run all three inline). The completion is the same to the
+    bit either way.
 
     The step writes into ten tensors allocated once per solve: X and the
     next X (the two swap every iteration), three duals, three estimates
@@ -111,7 +112,7 @@ def complete_halrtc(truth, mask, cfg: HalrtcConfig | None = None) -> CompletionR
     spare = np.empty_like(x)
     # Each mode's dual, estimate and operand are stored in its own order.
     y_mats = [_mode_views(np.zeros_like(x), n)[0] for n in range(3)]
-    m_mats, m_stored = zip(*(_mode_views(np.empty_like(x), n) for n in range(3)))
+    m_mats, m_stored = zip(*(_mode_views(np.zeros_like(x), n) for n in range(3)))
     # The worker's mode w has the costliest svt; the calling thread runs a, b.
     w = int(np.argmax(x.shape))
     a, b = (n for n in range(3) if n != w)
@@ -119,7 +120,7 @@ def complete_halrtc(truth, mask, cfg: HalrtcConfig | None = None) -> CompletionR
     op_mats, op_stored = zip(*(_mode_views(worker_op if n == w else caller_op, n) for n in range(3)))
     terms = [_in_mode_order(t, n) for n, t in enumerate(op_stored)]
     last_two = sorted((w, b))
-    dual_mu = None  # the penalty of the dual step each mode still owes
+    dual_mu = 0.0  # the penalty of the dual step each mode still owes; 0 at first
 
     def mode(n, x, mu, dual_mu):
         # Leaves the term M_n - Y_n / mu in mode n's operand. Operations on
@@ -128,9 +129,8 @@ def complete_halrtc(truth, mask, cfg: HalrtcConfig | None = None) -> CompletionR
         y, op, op_s, m = y_mats[n], op_mats[n], op_stored[n], m_mats[n]
         x_s = _in_mode_order(x, n)
         # The previous iteration's dual step, on an X the loop found finite.
-        if dual_mu is not None:
-            np.subtract(x_s, m_stored[n], out=op_s)
-            y += np.multiply(dual_mu, op, out=op)
+        np.subtract(x_s, m_stored[n], out=op_s)
+        y += np.multiply(dual_mu, op, out=op)
         np.divide(y, mu, out=op)
         np.add(x_s, op_s, out=op_s)
         svt(op, cfg.alpha[n] / mu, out=m)

@@ -1,5 +1,6 @@
 """CLI subcommands exercised end to end over temp files."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -49,6 +50,12 @@ class TestParseRates:
     )
     def test_range_stops_at_upper_bound(self, text, rates):
         assert _parse_rates(text) == rates
+
+    @pytest.mark.parametrize("text", ["0.1..inf", "-inf..0.5", "0.1..0.9:1e-320"])
+    def test_non_finite_range_refused(self, text):
+        # The last one's step is finite, but its count overflows to inf.
+        with pytest.raises(argparse.ArgumentTypeError, match="bad rate range"):
+            _parse_rates(text)
 
 
 class TestSolverFlags:
@@ -391,6 +398,16 @@ class TestBench:
         out = tmp_path / "r.csv"
         assert run_cli("bench", "--dims", "8x12x5", "--rates", "0.0,0.5",
                        "--output", out) == 1
+        assert not out.exists()
+
+    def test_non_finite_rate_range_exits_2_without_output(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        with pytest.raises(SystemExit) as exit_:
+            run_cli("bench", "--dims", "4x6x3", "--methods", "mean",
+                    "--rates", "0.1..inf", "--output", out)
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert "bad rate range '0.1..inf'" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_repeated_rate_leaves_no_output(self, tmp_path, capsys):

@@ -73,8 +73,14 @@ class TestSvt:
         assert np.allclose(out, np.diag([3.0, 0.0]), atol=1e-12)
 
     def test_all_below_threshold_gives_zero(self, rng):
-        m = 0.1 * rng.standard_normal((4, 3))
-        assert np.array_equal(svt(m, 100.0), np.zeros((4, 3)))
+        # The zeros are a zero matrix times an operand with negative entries:
+        # none may be -0.0, which equality misses and digests of bytes do not.
+        for shape in [(4, 3), (3, 4)]:
+            m = 0.1 * rng.standard_normal(shape)
+            assert (m < 0).any()
+            for result in (svt(m, 100.0), svt(m, 100.0, out=np.full(shape, np.nan))):
+                assert np.array_equal(result, np.zeros(shape))
+                assert not np.signbit(result).any()
 
     def test_matches_direct_svd_shrink(self, rng):
         m = rng.standard_normal((6, 4))
@@ -524,6 +530,12 @@ class TestCompletionUpdate:
             update_completion(state, x, np.zeros((12, 2)), blocks)
 
 
+def all_blocks(halves):
+    """completion_blocks' ``(first, second)`` as one tuple of blocks in row order."""
+    first, second = halves
+    return (*first, *second)
+
+
 class TestCompletionBlocks:
     """The blocked pass at block sizes that cut a small tensor many ways."""
 
@@ -543,14 +555,14 @@ class TestCompletionBlocks:
     @pytest.mark.parametrize("block_bytes", [7 * 48, 7 * 48 + 40])
     def test_ragged_last_block(self, monkeypatch, block_bytes):
         mask = np.random.default_rng(23).random(self.DIMS) < 0.5
-        _, blocks = self.blocks_of(monkeypatch, block_bytes, mask)
+        blocks = all_blocks(self.blocks_of(monkeypatch, block_bytes, mask)[1])
         assert [(start, stop) for start, stop, *_ in blocks] == [(0, 7), (7, 14), (14, 20)]
         self.check(monkeypatch, block_bytes, mask)
 
     def test_block_with_no_observed_entry(self, monkeypatch):
         mask = np.random.default_rng(24).random(self.DIMS) < 0.5
         mask[:2] = False  # rows 0..7, the first two blocks of four rows
-        _, blocks = self.blocks_of(monkeypatch, 4 * 48, mask)
+        blocks = all_blocks(self.blocks_of(monkeypatch, 4 * 48, mask)[1])
         assert [idx.size for _, _, idx, *_ in blocks[:2]] == [0, 0]
         assert all(idx.size for _, _, idx, *_ in blocks[2:])
         self.check(monkeypatch, 4 * 48, mask)
@@ -558,20 +570,21 @@ class TestCompletionBlocks:
     def test_fully_observed_block(self, monkeypatch):
         mask = np.random.default_rng(25).random(self.DIMS) < 0.3
         mask[3:] = True  # rows 12..19, the last two blocks of four rows
-        _, blocks = self.blocks_of(monkeypatch, 4 * 48, mask)
+        blocks = all_blocks(self.blocks_of(monkeypatch, 4 * 48, mask)[1])
         assert [idx.size for _, _, idx, *_ in blocks[3:]] == [24, 24]
         self.check(monkeypatch, 4 * 48, mask)
 
     @pytest.mark.parametrize("block_bytes", [0, 1, 48])
     def test_one_row_blocks(self, monkeypatch, block_bytes):
         mask = np.random.default_rng(26).random(self.DIMS) < 0.5
-        _, blocks = self.blocks_of(monkeypatch, block_bytes, mask)
+        blocks = all_blocks(self.blocks_of(monkeypatch, block_bytes, mask)[1])
         assert [(start, stop) for start, stop, *_ in blocks] == [(r, r + 1) for r in range(20)]
         self.check(monkeypatch, block_bytes, mask)
 
     def test_blocks_partition_the_observed_entries(self, monkeypatch):
         mask = np.random.default_rng(27).random(self.DIMS) < 0.5
-        t, blocks = self.blocks_of(monkeypatch, 3 * 48, mask)
+        t, halves = self.blocks_of(monkeypatch, 3 * 48, mask)
+        blocks = all_blocks(halves)
         idx, values = observed_of(t, mask)
         assert np.array_equal(np.concatenate([b[2] + b[0] * 6 for b in blocks]), idx)
         assert np.array_equal(np.concatenate([b[3] for b in blocks]), values)
@@ -583,8 +596,8 @@ class TestCompletionBlocks:
         mask = np.random.default_rng(27).random(self.DIMS) < 0.5
         monkeypatch.setattr(cpd_lrtc, "_BLOCK_BYTES", 3 * 48)
         t = np.random.default_rng(21).standard_normal(self.DIMS)
-        shared = completion_blocks(self.DIMS, *observed_of(t, mask))
-        blocks = completion_blocks(self.DIMS, *observed_of(t, mask), threaded=True)
+        shared = all_blocks(completion_blocks(self.DIMS, *observed_of(t, mask)))
+        blocks = all_blocks(completion_blocks(self.DIMS, *observed_of(t, mask), threaded=True))
         assert [b[:2] for b in blocks] == [b[:2] for b in shared]  # 7 blocks, 3 and 4
         scratches = [b[4] for b in blocks]
         assert all(np.shares_memory(s, scratches[0]) for s in scratches[:3])
