@@ -1,14 +1,18 @@
-"""SVT operand sizes and equal-budget timing for the two solvers.
+"""SVT operand sizes, equal-budget timing and peak memory for the two solvers.
 
 Runs both solvers for an identical iteration count on the same masked
 tensor and prints the matrix shapes each submits to singular value
 thresholding along with the best wall time of three solves and its time
 per iteration; the factor solver's operands stay at I_n x R while the
 comparator thresholds full unfoldings. One solve lasts a fraction of a
-second, too short to time once on a shared host.
+second, too short to time once on a shared host. A fourth, untimed solve
+under ``tracemalloc`` gives each solver's peak memory, in tensors of the
+input's size; tracing slows a solve by about a tenth, so no timed solve runs
+under it.
 """
 
 import argparse
+import tracemalloc
 
 from meterfill.cpd_lrtc import SolverConfig, complete
 from meterfill.data import SynthSpec, derive_seed, simulate_missing, synth_load_tensor
@@ -39,10 +43,17 @@ def main():
     for name, solve in solvers:
         rep = min((solve() for _ in range(REPEATS)), key=lambda r: r.wall_time)
         best[name] = rep.wall_time
+        tracemalloc.start()
+        try:
+            solve()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         shapes = ", ".join(f"{r}x{c}" for r, c in rep.svd_shapes)
         print(
             f"{name:>8}: {rep.iterations} iters, best of {REPEATS} {rep.wall_time:.3f}s "
-            f"({1e3 * rep.wall_time / rep.iterations:.2f} ms/iter), SVT operands [{shapes}]"
+            f"({1e3 * rep.wall_time / rep.iterations:.2f} ms/iter), "
+            f"peak {peak / masked.tensor.nbytes:.2f} tensors, SVT operands [{shapes}]"
         )
     print(f"speedup: {best['halrtc'] / best['cpd_lrtc']:.1f}x")
 

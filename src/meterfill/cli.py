@@ -44,8 +44,19 @@ def _parse_alpha(text: str) -> tuple[float, float, float]:
     return parts
 
 
+# The most rates ``--rates`` gives; each is one solve per method.
+_MAX_RATES = 10_000
+# Rates are rounded to 10 decimals, so a range with a smaller step repeats
+# rates, which the benchmark refuses.
+_MIN_RATE_STEP = 1e-10
+
+
 def _parse_rates(text: str) -> list[float]:
-    """Comma lists and ranges: ``0.1,0.3``, ``0.1..0.9`` (step 0.1), ``0.1..0.9:0.2``."""
+    """Comma lists and ranges: ``0.1,0.3``, ``0.1..0.9`` (step 0.1), ``0.1..0.9:0.2``.
+
+    A range is refused before it is built when its step is below
+    ``_MIN_RATE_STEP`` or the list would grow past ``_MAX_RATES`` rates.
+    """
     rates: list[float] = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -58,9 +69,12 @@ def _parse_rates(text: str) -> list[float]:
             except ValueError:
                 raise argparse.ArgumentTypeError(f"bad rate range {chunk!r}") from None
             # A non-finite bound, or a step so small that it overflows, gives no finite count.
-            if not 0 < step < math.inf or hi < lo or not math.isfinite((hi - lo) / step):
+            if not _MIN_RATE_STEP <= step < math.inf or hi < lo or not math.isfinite((hi - lo) / step):
                 raise argparse.ArgumentTypeError(f"bad rate range {chunk!r}")
             count = math.floor((hi - lo) / step + 1e-9)
+            if len(rates) + count + 1 > _MAX_RATES:
+                raise argparse.ArgumentTypeError(
+                    f"bad rate range {chunk!r}: more than {_MAX_RATES} rates")
             rates += [round(lo + k * step, 10) for k in range(count + 1)]
         else:
             try:

@@ -76,6 +76,10 @@ _GRAM_MIN_RATIO = 1e-5
 # A largest Gram eigenvalue below this leaves the ratio test above in the
 # subnormal range (or the Gram underflowed outright); svt then takes the SVD.
 _GRAM_MIN_EIGENVALUE = np.finfo(np.float64).tiny / _GRAM_MIN_RATIO**2
+# svt(m, out=m) writes its product back over m in this many slices of m's
+# larger side, through a buffer of one slice: numpy would otherwise buffer the
+# whole operand that out overlaps.
+_IN_PLACE_SLICES = 8
 # Bytes of X that update_completion rebuilds at a time (at least one row of
 # its (I1*I2, I3) matricization): the block, its reconstruction and its rows
 # of Z stay in cache through the five steps on them. A sweep of 256 KiB,
@@ -165,10 +169,12 @@ def svt(m: np.ndarray, tau: float, *, out: np.ndarray | None = None) -> np.ndarr
     representable, or a kept singular value lies below ``1e-5`` of the
     largest.
 
-    ``out``, a float64 array of m's shape that does not overlap m, receives
-    the result on every path and is returned; without it the result is a new
-    array. A solver that thresholds the same shapes every iteration passes
-    the same buffers.
+    ``out``, a float64 array of m's shape, receives the result on every path
+    and is returned; without it the result is a new array. A solver that
+    thresholds the same shapes every iteration passes the same buffers.
+    ``out`` may be m itself, which is then overwritten one slice of its
+    larger side at a time, through a buffer of an eighth of m; any other
+    ``out`` that overlaps m is refused.
 
     Raises :class:`NumericalError` for a non-finite m or a failed
     decomposition.
@@ -178,31 +184,66 @@ def svt(m: np.ndarray, tau: float, *, out: np.ndarray | None = None) -> np.ndarr
     m = np.asarray(m, dtype=np.float64)
     if out is not None and out.shape != m.shape:
         raise ValueError(f"out has shape {out.shape}, the operand {m.shape}")
+    if out is not None and out is not m and np.shares_memory(out, m):
+        raise ValueError("out overlaps the operand without being it")
     wide = m.shape[0] <= m.shape[1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = m @ m.T if wide else m.T @ m
-    if np.all(np.isfinite(gram)):
-        try:
-            lam, q = np.linalg.eigh(gram)
-        except np.linalg.LinAlgError as err:
-            raise NumericalError(f"eigendecomposition failed: {err}") from err
-        s = np.sqrt(np.maximum(lam, 0.0))
-        keep = s > tau
-        s_kept = s[keep]
-        if (lam.size and lam[-1] >= _GRAM_MIN_EIGENVALUE
-                and (not s_kept.size or s_kept[0] >= _GRAM_MIN_RATIO * s_kept[-1])):
-            q_kept = q[:, keep]
-            # One small-side matrix (zero if none is kept), so each side of
-            # m is multiplied once however many singular values are kept.
-            shrink = (q_kept * (1.0 - tau / s_kept)) @ q_kept.T
-            return np.matmul(shrink, m, out=out) if wide else np.matmul(m, shrink, out=out)
-    elif not np.all(np.isfinite(m)):
-        raise NumericalError("SVT operand has non-finite entries")
+    shrink = _gram_shrink(m, tau, wide)
+    if shrink is not None:
+        if out is m:
+            return _shrink_in_place(m, shrink, wide)
+        return np.matmul(shrink, m, out=out) if wide else np.matmul(m, shrink, out=out)
     try:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as err:
         raise NumericalError(f"SVD failed: {err}") from err
     return np.matmul(u * np.maximum(s - tau, 0.0), vt, out=out)
+
+
+def _gram_shrink(m: np.ndarray, tau: float, wide: bool) -> np.ndarray | None:
+    """The small-side matrix that :func:`svt` multiplies m by, from the ``eigh``
+    of m's Gram, or None when that Gram cannot be trusted.
+
+    It is zero when no singular value is kept, so each side of m is
+    multiplied once however many are. Its Gram and eigenvectors are freed
+    before svt writes the product.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = m @ m.T if wide else m.T @ m
+    if not np.all(np.isfinite(gram)):
+        if not np.all(np.isfinite(m)):
+            raise NumericalError("SVT operand has non-finite entries")
+        return None
+    try:
+        lam, q = np.linalg.eigh(gram)
+    except np.linalg.LinAlgError as err:
+        raise NumericalError(f"eigendecomposition failed: {err}") from err
+    s = np.sqrt(np.maximum(lam, 0.0))
+    keep = s > tau
+    s_kept = s[keep]
+    if not (lam.size and lam[-1] >= _GRAM_MIN_EIGENVALUE
+            and (not s_kept.size or s_kept[0] >= _GRAM_MIN_RATIO * s_kept[-1])):
+        return None
+    q_kept = q[:, keep]
+    return (q_kept * (1.0 - tau / s_kept)) @ q_kept.T
+
+
+def _shrink_in_place(m: np.ndarray, shrink: np.ndarray, wide: bool) -> np.ndarray:
+    """Overwrite m with ``shrink @ m`` (wide) or ``m @ shrink`` (tall); returns m.
+
+    A column of the first (a row of the second) depends only on the same
+    column (row) of m, so m takes the product one slice of its larger side at
+    a time, through a buffer of one slice.
+    """
+    axis = 1 if wide else 0
+    size = m.shape[axis]
+    width = -(-size // _IN_PLACE_SLICES)
+    buf = np.empty(width * m.shape[1 - axis])
+    for start in range(0, size, width):
+        part = m[:, start:start + width] if wide else m[start:start + width]
+        # A contiguous product for every slice, the last one included.
+        prod = buf[:part.size].reshape(part.shape)
+        part[...] = np.matmul(shrink, part, out=prod) if wide else np.matmul(part, shrink, out=prod)
+    return m
 
 
 def init_factors(dims, rank: int, rng: np.random.Generator) -> FactorSet:

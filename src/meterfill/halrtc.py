@@ -10,9 +10,11 @@ matrices each method thresholds. The shared :func:`svt` thresholds each
 matricization through the ``eigh`` of its ``I_n x I_n`` Gram matrix.
 
 Like the CP-factor step, an iteration allocates no tensor: the step runs in a
-fixed workspace made once per solve (see :func:`complete_halrtc`). Like it
-too, the step runs on two threads, from a smaller size on: within an
-iteration the three mode subproblems depend only on X and their own duals,
+fixed workspace of seven tensors made once per solve, in which each mode
+carries its term ``M_n - Y_n / mu`` in place of its dual and estimate and
+:func:`svt` thresholds each operand in place (see :func:`complete_halrtc`).
+Like it too, the step runs on two threads, from a smaller size on: within an
+iteration the three mode subproblems depend only on X and their own terms,
 so the worker thread of the one-thread
 :class:`~concurrent.futures.ThreadPoolExecutor` that the shared loop
 (:mod:`meterfill.admm`) makes thresholds the mode with the largest
@@ -90,62 +92,57 @@ def complete_halrtc(truth, mask, cfg: HalrtcConfig | None = None) -> CompletionR
     """Complete a partially observed tensor by unfolding-based ADMM.
 
     Per iteration and mode n: :func:`svt` ``X + Y_n / mu`` to M_n,
-    average the ``M_n - Y_n / mu`` into X, re-impose the observed entries,
-    then step the duals by the remaining mode residuals ``mu (X - M_n)``.
-    Each mode's dual step is taken at the start of that mode's part of the
-    next iteration; the first iteration's, at penalty 0 on zero estimates,
-    leaves the duals at +0.0. So a mode depends only on X and its own dual,
+    average the terms ``M_n - Y_n / mu`` into X, re-impose the observed
+    entries, then step the duals by the remaining mode residuals
+    ``mu (X - M_n)``. Each mode carries its term, not its dual and estimate,
+    from one iteration to the next: in scaled form (Boyd et al., 2011,
+    section 3.1.1) the stepped dual ``Y_n + mu (X - M_n)`` is
+    ``mu (X - term_n)``, so the dual step waits for the start of that mode's
+    part of the next iteration. The first iteration's, at penalty 0 on zero
+    terms, gives duals of +0.0 or -0.0, either of which adds nothing to X.
+    So a mode depends only on X and its own term,
     and the mode with the largest dimension runs on a worker thread beside
     the other two (for tensors of at least ``_THREAD_MIN_SIZE`` entries;
     smaller ones run all three inline). The completion is the same to the
     bit either way.
 
-    The step writes into ten tensors allocated once per solve: X and the
-    next X (the two swap every iteration), three duals, three estimates
-    M_n, and one operand per thread, which holds ``X + Y_n / mu`` for svt
-    and then the term ``M_n - Y_n / mu``. Mode 2 stores its dual, estimate
-    and operand transposed, so that no mode copies.
+    The step writes into seven tensors allocated once per solve: X and the
+    next X (the two swap every iteration), three terms, and one operand per
+    thread, which holds ``X + Y_n / mu`` and then, thresholded in place,
+    M_n. Mode 2 stores its term and operand transposed, so that no mode
+    copies.
     """
     cfg = cfg if cfg is not None else HalrtcConfig()
     x, observed_idx, observed = _observed_input(truth, mask)
     mu0 = cfg.mu0 if cfg.mu0 is not None else 1.0 / max(fro_norm(x), 1e-12)
     spare = np.empty_like(x)
-    # Each mode's dual, estimate and operand are stored in its own order.
-    y_mats = [_mode_views(np.zeros_like(x), n)[0] for n in range(3)]
-    m_mats, m_stored = zip(*(_mode_views(np.zeros_like(x), n) for n in range(3)))
+    # Each mode's term and operand are stored in its own order.
+    t_mats, t_stored = zip(*(_mode_views(np.zeros_like(x), n) for n in range(3)))
+    terms = [_in_mode_order(t, n) for n, t in enumerate(t_stored)]
     # The worker's mode w has the costliest svt; the calling thread runs a, b.
     w = int(np.argmax(x.shape))
     a, b = (n for n in range(3) if n != w)
     caller_op, worker_op = np.empty_like(x), np.empty_like(x)
     op_mats, op_stored = zip(*(_mode_views(worker_op if n == w else caller_op, n) for n in range(3)))
-    terms = [_in_mode_order(t, n) for n, t in enumerate(op_stored)]
-    last_two = sorted((w, b))
     dual_mu = 0.0  # the penalty of the dual step each mode still owes; 0 at first
 
     def mode(n, x, mu, dual_mu):
-        # Leaves the term M_n - Y_n / mu in mode n's operand. Operations on
-        # mode n's own buffers run on their matrices, and those with X on X
-        # in mode n's order, so every output is written in memory order.
-        y, op, op_s, m = y_mats[n], op_mats[n], op_stored[n], m_mats[n]
+        # Turns mode n's term into the next. Operations on mode n's own
+        # buffers run on their matrices, and those with X on X in mode n's
+        # order, so every output is written in memory order.
+        t, t_s, op, op_s = t_mats[n], t_stored[n], op_mats[n], op_stored[n]
         x_s = _in_mode_order(x, n)
-        # The previous iteration's dual step, on an X the loop found finite.
-        np.subtract(x_s, m_stored[n], out=op_s)
-        y += np.multiply(dual_mu, op, out=op)
-        np.divide(y, mu, out=op)
-        np.add(x_s, op_s, out=op_s)
-        svt(op, cfg.alpha[n] / mu, out=m)
-        np.subtract(m, np.divide(y, mu, out=op), out=op)
+        # The previous iteration's dual step, on an X the loop found finite:
+        # Y_n = dual_mu (X - term_n), then Y_n / mu.
+        np.subtract(x_s, t_s, out=t_s)
+        np.multiply(dual_mu, t, out=t)
+        np.divide(t, mu, out=t)
+        np.add(x_s, t_s, out=op_s)
+        svt(op, cfg.alpha[n] / mu, out=op)
+        np.subtract(op, t, out=t)
 
     def callers_half(x, mu, dual_mu):
-        # X = (M_1 - Y_1/mu + M_2 - Y_2/mu + M_3 - Y_3/mu) / 3, summed in
-        # mode order from zero as the reference loops sum it,
-        # ((0 + t1) + t2) + t3, where 0 + turns a -0.0 into +0.0. The
-        # caller's first term goes in before the worker's is ready; when
-        # the worker has mode 1 that term is t2, and (0 + t2) + t1 gives
-        # the same bits: addition commutes, and a sum with a zero term
-        # comes out the same either way.
         mode(a, x, mu, dual_mu)
-        np.add(0.0, terms[a], out=spare)
         mode(b, x, mu, dual_mu)
 
     def step(x, mu, worker):
@@ -153,8 +150,12 @@ def complete_halrtc(truth, mask, cfg: HalrtcConfig | None = None) -> CompletionR
         # Inline, the worker's mode runs last; the modes write disjoint buffers.
         _beside(worker, (callers_half, x, mu, dual_mu), (mode, w, x, mu, dual_mu))
         x_new, spare = spare, x  # x's buffer is the next spare
-        for n in last_two:
-            x_new += terms[n]
+        # X = (term_1 + term_2 + term_3) / 3, summed in mode order from zero
+        # as the reference loops sum it, ((0 + t1) + t2) + t3, where 0 +
+        # turns a -0.0 into +0.0.
+        np.add(0.0, terms[0], out=x_new)
+        x_new += terms[1]
+        x_new += terms[2]
         np.divide(x_new, 3.0, out=x_new)
         x_new.reshape(-1)[observed_idx] = observed
         dual_mu = mu

@@ -57,6 +57,25 @@ class TestParseRates:
         with pytest.raises(argparse.ArgumentTypeError, match="bad rate range"):
             _parse_rates(text)
 
+    @pytest.mark.parametrize("text", ["0.1..0.9:1e-12", "0.1..0.1000001:1e-12", "0.1..0.2:9.9e-11"])
+    def test_step_below_rounding_refused(self, text):
+        # Rates are rounded to 10 decimals, so these steps would repeat rates;
+        # the first asks for 8e11 of them.
+        with pytest.raises(argparse.ArgumentTypeError, match="bad rate range"):
+            _parse_rates(text)
+
+    def test_smallest_step_accepted(self):
+        assert _parse_rates("0.5..0.5000000003:1e-10") == [0.5, 0.5000000001, 0.5000000002, 0.5000000003]
+
+    @pytest.mark.parametrize("text", ["0..1:0.0001", "0.5,0.0001..1:0.0001", "0.0001..1:0.0001,0..0.5"])
+    def test_more_than_the_cap_refused(self, text):
+        # Each range alone gives 10,001 or 10,000 rates; with the rest, one too many.
+        with pytest.raises(argparse.ArgumentTypeError, match="more than 10000 rates"):
+            _parse_rates(text)
+
+    def test_the_cap_itself_accepted(self):
+        assert len(_parse_rates("0.0001..1:0.0001")) == 10_000
+
 
 class TestSolverFlags:
     @pytest.mark.parametrize("command,methods", [
@@ -408,6 +427,17 @@ class TestBench:
         assert exit_.value.code == 2
         err = capsys.readouterr().err
         assert "bad rate range '0.1..inf'" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_rate_range_too_fine_exits_2_without_output(self, tmp_path, capsys):
+        # 8e11 rates: refused from the step, before any list is built.
+        out = tmp_path / "r.csv"
+        with pytest.raises(SystemExit) as exit_:
+            run_cli("bench", "--dims", "4x6x3", "--methods", "mean",
+                    "--rates", "0.1..0.9:1e-12", "--output", out)
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert "bad rate range '0.1..0.9:1e-12'" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_repeated_rate_leaves_no_output(self, tmp_path, capsys):

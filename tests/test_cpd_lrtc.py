@@ -170,11 +170,43 @@ class TestSvt:
         calls = count_svd_calls(monkeypatch)
         assert svt(m, tau, out=out) is out
         assert np.array_equal(out, expected)
-        assert len(calls) == svd_calls
+        # In place, the product goes back one slice at a time; 60 is no
+        # multiple of the slice width, so the last slice is narrower.
+        in_place = m.copy()
+        assert svt(in_place, tau, out=in_place) is in_place
+        assert np.linalg.norm(in_place - expected) <= 1e-14 * np.linalg.norm(expected)
+        assert len(calls) == 2 * svd_calls
 
     def test_out_of_another_shape_refused(self):
         with pytest.raises(ValueError, match="shape"):
             svt(np.eye(3), 0.5, out=np.empty((3, 2)))
+
+    @pytest.mark.parametrize(
+        "view", [lambda m: m[::-1], lambda m: m.T, lambda m: m[:]], ids=["reversed", "transposed", "same-view"]
+    )
+    def test_out_overlapping_the_operand_refused(self, rng, view):
+        # Only m itself is thresholded in place; numpy would quietly buffer
+        # any other overlapping out.
+        m = rng.standard_normal((6, 6))
+        before = m.copy()
+        with pytest.raises(ValueError, match="overlaps"):
+            svt(m, 0.5, out=view(m))
+        assert np.array_equal(m, before)
+
+    @pytest.mark.parametrize("shape", [(30, 2400), (1440, 50)])
+    def test_in_place_buffers_a_slice_only(self, rng, shape):
+        # numpy would buffer the whole operand that out overlaps; svt writes
+        # the product back through a buffer of an eighth of it, beside
+        # small-side matrices.
+        m = rng.standard_normal(shape)
+        tau = 0.5 * np.linalg.norm(m, 2)
+        tracemalloc.start()
+        try:
+            svt(m, tau, out=m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * m.nbytes
 
     @pytest.mark.parametrize("shape", [(6, 9), (9, 6)])
     @pytest.mark.parametrize("c", [1e-170, 1e-150, 1e-6, 1e6, 1e150, 1e200])

@@ -121,14 +121,15 @@ class TestCompleteHalrtc:
         with pytest.raises(ValueError):
             complete_halrtc(np.ones((2, 2, 2)), np.zeros((2, 2, 2), bool))
 
-    @pytest.mark.parametrize("rate,bound", [(0.5, 11.75), (0.9, 11.0)])
+    @pytest.mark.parametrize("rate,bound", [(0.5, 8.8), (0.9, 8.0)])
     def test_peak_memory(self, rate, bound):
-        # The step's ten tensors (the current and the next completion, three
-        # duals, three thresholded estimates, and the caller's and the
-        # worker's operands) are live from the first iteration on, beside the
-        # observed positions and values, one tensor at 50% missing and a
-        # fifth at 90%, and the mask. Measured: 11.29 and 10.57 tensors; one
-        # more tensor-size buffer fails the bound.
+        # The step's seven tensors (the current and the next completion,
+        # three terms, and the caller's and the worker's operands, which svt
+        # thresholds in place) are live from the first iteration on, beside
+        # the observed positions and values, one tensor at 50% missing and a
+        # fifth at 90%, and the mask. Measured: 8.30-8.38 and 7.55-7.57
+        # tensors; one more tensor-size buffer, or svt's write-back buffering
+        # a whole operand, fails the bound.
         t, mask = parity_instance((31, 48, 114), rate)
         tracemalloc.start()
         try:
@@ -363,14 +364,16 @@ def reference_matricized_halrtc(truth, mask, cfg):
     converged = False
     for _ in range(cfg.max_iters):
         blended = np.zeros(dims)
-        estimates = []
+        terms = []
         for n in range(3):
-            mn = svt(matricize(x + ys[n] / mu, n), cfg.alpha[n] / mu)
-            estimates.append(unmatricize(mn, n, dims))
-            blended += estimates[n] - ys[n] / mu
+            op = matricize(x + ys[n] / mu, n).copy()
+            mn = svt(op, cfg.alpha[n] / mu, out=op)
+            terms.append(unmatricize(mn, n, dims) - ys[n] / mu)
+            blended += terms[n]
         x_new = np.where(m, t, blended / 3.0)
         for n in range(3):
-            ys[n] = ys[n] + mu * (x_new - estimates[n])
+            # Y_n + mu (x_new - M_n), with M_n = term_n + Y_n / mu.
+            ys[n] = mu * (x_new - terms[n])
         resid = fro_norm(x_new - x) / denom
         history.append(resid)
         x = x_new
