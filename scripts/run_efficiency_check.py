@@ -11,6 +11,14 @@ input's size; tracing slows a solve by about a tenth, so no timed solve runs
 under it.
 """
 
+import os
+
+# One BLAS thread, set before numpy loads: each solver's worker thread assumes
+# one BLAS thread per solver thread, and OpenBLAS's default count nearly doubled
+# HaLRTC's ms/iter on 31x48x114 at 90% missing (README, "BLAS threads").
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import argparse
 import tracemalloc
 

@@ -6,6 +6,14 @@ reference for the low-rate end of the sweep. They could score every rate:
 a day/channel series with no observation keeps its channel's mean.
 """
 
+import os
+
+# One BLAS thread, set before numpy loads: each solver's worker thread assumes
+# one BLAS thread per solver thread, and OpenBLAS's default count nearly doubled
+# HaLRTC's ms/iter on 31x48x114 at 90% missing (README, "BLAS threads").
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import argparse
 
 from meterfill.benchmark import format_table, run_benchmark, write_results_csv

@@ -1,11 +1,11 @@
-"""The ADMM loop both solvers share, with its report and its one worker thread.
+"""The ADMM loop both solvers share, with its settings, report and worker thread.
 
 Each solver (:mod:`meterfill.cpd_lrtc`, :mod:`meterfill.halrtc`) supplies
-only a step from the current completion to the next and the norm of the
-change; :func:`_run_admm` does the rest, and for a large tensor makes the
-solve's worker thread, a one-thread
-:class:`concurrent.futures.ThreadPoolExecutor`, which a step reaches only
-through :func:`_beside`.
+only a config extending :class:`AdmmConfig`, a step from the current
+completion to the next and the norm of the change; :func:`_run_admm` does
+the rest, and for a large tensor makes the solve's worker thread, a
+one-thread :class:`concurrent.futures.ThreadPoolExecutor`, which a step
+reaches only through :func:`_beside`.
 """
 
 from __future__ import annotations
@@ -77,26 +77,39 @@ def _beside(pool: ThreadPoolExecutor | None, first: tuple, second: tuple) -> Non
         raise error
 
 
-def _check_admm_fields(cfg) -> None:
-    """Validate the fields both solver configs share; normalizes ``alpha`` to floats.
+@dataclass(frozen=True)
+class AdmmConfig:
+    """Settings of the shared loop, declared and checked here for both solvers.
 
+    alpha: per-mode nuclear-norm weights, must sum to 1.
+    mu0, rho, mu_max: penalty schedule ``mu <- min(rho * mu, mu_max)``; mu0=None
+        starts at ``1 / ||X_0||_F``, near the data's singular-value range.
+    epsilon: relative-change stopping tolerance, in (0, 1).
     A float passes only when finite and in range, so NaN and inf fail.
-    ``mu0=None`` passes here; a config that cannot adapt mu0 rejects it itself.
     """
-    object.__setattr__(cfg, "alpha", tuple(float(a) for a in cfg.alpha))
-    if len(cfg.alpha) != 3 or not all(0 <= a < np.inf for a in cfg.alpha):
-        raise ValueError("alpha must be three finite nonnegative weights")
-    if not abs(sum(cfg.alpha) - 1.0) <= 1e-12:
-        raise ValueError("alpha weights must sum to 1")
-    if cfg.mu0 is not None and not 0 < cfg.mu0 < np.inf:
-        raise ValueError("mu0 must be positive and finite")
-    if not 0 < cfg.mu_max < np.inf:
-        raise ValueError("mu_max must be positive and finite")
-    if not 1 <= cfg.rho < np.inf:
-        raise ValueError("rho must be finite and >= 1")
-    if not 0 < cfg.epsilon < 1:
-        raise ValueError("epsilon must lie in (0, 1)")
-    check_int(cfg.max_iters, "max_iters", 1)
+
+    alpha: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
+    mu0: float | None = None
+    rho: float = 1.1
+    mu_max: float = 1e10
+    epsilon: float = 1e-4
+    max_iters: int = 500
+
+    def __post_init__(self):
+        object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
+        if len(self.alpha) != 3 or not all(0 <= a < np.inf for a in self.alpha):
+            raise ValueError("alpha must be three finite nonnegative weights")
+        if not abs(sum(self.alpha) - 1.0) <= 1e-12:
+            raise ValueError("alpha weights must sum to 1")
+        if self.mu0 is not None and not 0 < self.mu0 < np.inf:
+            raise ValueError("mu0 must be positive and finite")
+        if not 0 < self.mu_max < np.inf:
+            raise ValueError("mu_max must be positive and finite")
+        if not 1 <= self.rho < np.inf:
+            raise ValueError("rho must be finite and >= 1")
+        if not 0 < self.epsilon < 1:
+            raise ValueError("epsilon must lie in (0, 1)")
+        check_int(self.max_iters, "max_iters", 1)
 
 
 def _observed_input(truth, mask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -116,8 +129,9 @@ def _observed_input(truth, mask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.where(m, t, 0.0), observed_idx, t[m]
 
 
-def _run_admm(x: np.ndarray, cfg, mu: float, step, svd_shapes, threaded: bool) -> CompletionReport:
-    """The outer ADMM loop of both solvers, from completion ``x`` and penalty ``mu``.
+def _run_admm(x: np.ndarray, cfg: AdmmConfig, step, svd_shapes, threaded: bool) -> CompletionReport:
+    """The outer ADMM loop of both solvers, from completion ``x`` and ``cfg.mu0``
+    (or, when None, ``1 / ||X_0||_F``, from the norm the stopping rule uses).
 
     ``step(x, mu, worker)`` advances the solver's own state by one iteration
     and returns ``(x_new, change)``: the next completion and
@@ -128,7 +142,9 @@ def _run_admm(x: np.ndarray, cfg, mu: float, step, svd_shapes, threaded: bool) -
     ``threaded`` and shut down however the solve ends, or None;
     ``wall_time`` times the iterations alone.
     """
-    denom = fro_norm(x) or 1.0
+    norm = fro_norm(x)
+    mu = cfg.mu0 if cfg.mu0 is not None else 1.0 / max(norm, 1e-12)
+    denom = norm or 1.0
     history: list[float] = []
 
     with ThreadPoolExecutor(1, "meterfill-worker") if threaded else nullcontext() as worker:

@@ -21,8 +21,9 @@ when the relative change ``||X_new - X_old||_F / ||X_0||_F`` drops to the
 configured tolerance.
 
 The outer loop (penalty schedule, stopping rule, non-finite check, timing,
-report) is :mod:`meterfill.admm`'s, shared with :mod:`meterfill.halrtc`; this
-module supplies the step from one completion to the next and its change.
+report) and its settings are :mod:`meterfill.admm`'s, shared with
+:mod:`meterfill.halrtc`; this module supplies the step from one completion
+to the next and its change.
 
 The CPD step never unfolds X and makes one read pass and one blocked
 read-write pass over it per iteration. The matricized-tensor-times-Khatri-Rao
@@ -59,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import CompletionReport, NumericalError, _check_admm_fields, _observed_input, _run_admm
+from .admm import AdmmConfig, CompletionReport, NumericalError, _observed_input, _run_admm
 from .admm import _beside
 from .tensor_ops import check_int, khatri_rao
 
@@ -95,31 +96,26 @@ _THREAD_MIN_SIZE = 550_000
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    """Hyperparameters for :func:`complete`.
+class SolverConfig(AdmmConfig):
+    """Hyperparameters for :func:`complete`: the shared loop's
+    (:class:`~meterfill.admm.AdmmConfig`), with mu0=None refused, and
 
     rank: column count R of the factor matrices; ``None`` resolves to
         ``min(20, min(dims))`` at solve time.
-    alpha: per-mode nuclear-norm weights, must sum to 1.
     lam: weight of the coupling between X and its CP reconstruction.
-    mu0, rho, mu_max: penalty schedule ``mu <- min(rho * mu, mu_max)``.
-    epsilon: relative-change stopping tolerance, in (0, 1).
+    seed: seed of the random initial factors.
     """
 
-    rank: int | None = None
-    alpha: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
-    lam: float = 1.0
     mu0: float = 1e-4
     rho: float = 1.05
-    mu_max: float = 1e10
-    epsilon: float = 1e-4
-    max_iters: int = 500
+    rank: int | None = None
+    lam: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
         if self.mu0 is None:
             raise ValueError("mu0 must be a positive number")
-        _check_admm_fields(self)
+        super().__post_init__()
         if self.rank is not None:
             check_int(self.rank, "rank", 1)
         if not 0 < self.lam < np.inf:
@@ -439,4 +435,4 @@ def complete(truth, mask, cfg: SolverConfig | None = None) -> CompletionReport:
         state = update_multipliers(state, mu)
         return x, change
 
-    return _run_admm(x, cfg, cfg.mu0, step, tuple((int(d), rank) for d in x.shape), threaded)
+    return _run_admm(x, cfg, step, tuple((int(d), rank) for d in x.shape), threaded)

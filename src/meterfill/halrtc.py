@@ -3,11 +3,12 @@
 Classic high-accuracy LRTC (HaLRTC): ADMM over one auxiliary low-rank
 matrix per mode, with singular value thresholding applied to the full
 ``I_n x (prod of other dims)`` mode-n matricizations. It runs the same outer
-ADMM loop as the CP-factor solver (penalty schedule, stopping rule, report)
-and differs from it only in its step and its default ``mu0``/``rho``, so
-benchmarks can swap methods; the structural difference is the size of the
-matrices each method thresholds. The shared :func:`svt` thresholds each
-matricization through the ``eigh`` of its ``I_n x I_n`` Gram matrix.
+ADMM loop as the CP-factor solver (its settings, penalty schedule, stopping
+rule, report) and differs from it only in its step and its default
+``mu0``/``rho``, so benchmarks can swap methods; the structural difference
+is the size of the matrices each method thresholds. The shared :func:`svt`
+thresholds each matricization through the ``eigh`` of its ``I_n x I_n``
+Gram matrix.
 
 Like the CP-factor step, an iteration allocates no tensor: the step runs in a
 fixed workspace of seven tensors made once per solve, in which each mode
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import CompletionReport, _beside, _check_admm_fields, _observed_input, _run_admm
+from .admm import AdmmConfig, CompletionReport, _beside, _observed_input, _run_admm
 from .cpd_lrtc import svt
 from .tensor_ops import fro_norm
 
@@ -42,23 +43,9 @@ _THREAD_MIN_SIZE = 20_000
 
 
 @dataclass(frozen=True)
-class HalrtcConfig:
-    """Hyperparameters for :func:`complete_halrtc`.
-
-    mu0=None picks a scale-adaptive start, ``1 / ||X_0||_F``, which places
-    the initial SVT threshold near the data's singular-value range; a fixed
-    mu0 is honored as given.
-    """
-
-    alpha: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
-    mu0: float | None = None
-    rho: float = 1.1
-    mu_max: float = 1e10
-    epsilon: float = 1e-4
-    max_iters: int = 500
-
-    def __post_init__(self):
-        _check_admm_fields(self)
+class HalrtcConfig(AdmmConfig):
+    """Hyperparameters for :func:`complete_halrtc`: the shared loop's
+    (:class:`~meterfill.admm.AdmmConfig`), whose defaults are HaLRTC's."""
 
 
 def _mode_views(buf: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -114,7 +101,6 @@ def complete_halrtc(truth, mask, cfg: HalrtcConfig | None = None) -> CompletionR
     """
     cfg = cfg if cfg is not None else HalrtcConfig()
     x, observed_idx, observed = _observed_input(truth, mask)
-    mu0 = cfg.mu0 if cfg.mu0 is not None else 1.0 / max(fro_norm(x), 1e-12)
     spare = np.empty_like(x)
     # Each mode's term and operand are stored in its own order.
     t_mats, t_stored = zip(*(_mode_views(np.zeros_like(x), n) for n in range(3)))
@@ -165,4 +151,4 @@ def complete_halrtc(truth, mask, cfg: HalrtcConfig | None = None) -> CompletionR
             return x_new, fro_norm(np.subtract(x, x_new, out=x))
 
     svd_shapes = tuple((d, x.size // d) for d in x.shape)
-    return _run_admm(x, cfg, mu0, step, svd_shapes, x.size >= _THREAD_MIN_SIZE)
+    return _run_admm(x, cfg, step, svd_shapes, x.size >= _THREAD_MIN_SIZE)

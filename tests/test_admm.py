@@ -1,12 +1,19 @@
-"""The ADMM machinery both solvers share: the worker handoff and where its names live."""
+"""The ADMM machinery both solvers share: its settings, the worker handoff and
+where its names live."""
 
+import dataclasses
+import math
+import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 import meterfill
 from meterfill import admm, cpd_lrtc, halrtc
+from meterfill.data import SynthSpec, derive_seed, simulate_missing, synth_load_tensor
+from meterfill.tensor_ops import fro_norm
 
 
 @pytest.fixture
@@ -22,6 +29,63 @@ def record(calls, name):
 def fail(calls, name):
     record(calls, name)
     raise RuntimeError(f"{name} failed")
+
+
+CONFIGS = (cpd_lrtc.SolverConfig, halrtc.HalrtcConfig)
+
+# Loop settings refused by both solvers' configs, with the message each gives.
+BAD_LOOP_SETTINGS = [
+    ({"alpha": (math.nan, 0.5, 0.5)}, "alpha must be three finite nonnegative weights"),
+    ({"mu0": -1.0}, "mu0 must be positive and finite"),
+    ({"mu0": 0.0}, "mu0 must be positive and finite"),
+    ({"mu0": math.nan}, "mu0 must be positive and finite"),
+    ({"mu0": math.inf}, "mu0 must be positive and finite"),
+    ({"rho": 0.5}, "rho must be finite and >= 1"),
+    ({"rho": 0.9}, "rho must be finite and >= 1"),
+    ({"rho": math.nan}, "rho must be finite and >= 1"),
+    ({"rho": math.inf}, "rho must be finite and >= 1"),
+    ({"mu_max": math.nan}, "mu_max must be positive and finite"),
+    ({"mu_max": math.inf}, "mu_max must be positive and finite"),
+    ({"epsilon": 0.0}, "epsilon must lie in (0, 1)"),
+    ({"epsilon": 1.0}, "epsilon must lie in (0, 1)"),
+    ({"epsilon": 1.5}, "epsilon must lie in (0, 1)"),
+    ({"max_iters": 0}, "max_iters must be an integer >= 1"),
+    ({"max_iters": 2.5}, "max_iters must be an integer >= 1"),
+    ({"max_iters": True}, "max_iters must be an integer >= 1"),
+]
+
+
+class TestAdmmConfig:
+    @pytest.mark.parametrize("config", CONFIGS)
+    @pytest.mark.parametrize("kwargs, message", BAD_LOOP_SETTINGS)
+    def test_both_configs_refuse_bad_loop_settings(self, config, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            config(**kwargs)
+
+    def test_both_configs_extend_the_loops(self):
+        for config in CONFIGS:
+            assert issubclass(config, admm.AdmmConfig)
+
+    def test_defaults(self):
+        thirds = (1 / 3, 1 / 3, 1 / 3)
+        loop = dict(alpha=thirds, mu_max=1e10, epsilon=1e-4, max_iters=500)
+        expected = {
+            cpd_lrtc.SolverConfig: dict(loop, mu0=1e-4, rho=1.05, rank=None, lam=1.0, seed=0),
+            halrtc.HalrtcConfig: dict(loop, mu0=None, rho=1.1),
+        }
+        for config, defaults in expected.items():
+            cfg = config()
+            assert {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)} == defaults
+
+    def test_no_mu0_starts_at_the_inverse_norm_of_the_first_iterate(self):
+        ds = synth_load_tensor(SynthSpec(dims=(8, 10, 12), rank=3), seed=7).dataset
+        masked = simulate_missing(ds, 0.5, derive_seed(11, "mask", "0.5"))
+        t, m = masked.tensor, masked.mask
+        start = 1 / fro_norm(np.where(m, t, 0.0))
+        auto = halrtc.complete_halrtc(t, m)
+        fixed = halrtc.complete_halrtc(t, m, halrtc.HalrtcConfig(mu0=start))
+        assert np.array_equal(auto.completed, fixed.completed)
+        assert auto.residual_history == fixed.residual_history
 
 
 class TestBeside:
