@@ -136,9 +136,10 @@ def _run_admm(x: np.ndarray, cfg: AdmmConfig, step, svd_shapes, threaded: bool) 
     ``step(x, mu, worker)`` advances the solver's own state by one iteration
     and returns ``(x_new, change)``: the next completion and
     ``||x_new - x||_F``. The step owns x's buffer: CPD-LRTC returns x itself,
-    overwritten in place; HaLRTC returns its spare buffer and spends x on the
-    difference, after which x's buffer is the next spare. ``worker`` is the
-    one-thread :class:`~concurrent.futures.ThreadPoolExecutor` made here when
+    overwritten in place; HaLRTC returns the buffer of its calling thread's
+    operand, which the average filled, and spends x on the difference, after
+    which x's buffer is that operand. ``worker`` is the one-thread
+    :class:`~concurrent.futures.ThreadPoolExecutor` made here when
     ``threaded`` and shut down however the solve ends, or None;
     ``wall_time`` times the iterations alone.
     """

@@ -12,6 +12,7 @@ import dataclasses
 import json
 import math
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -166,10 +167,12 @@ def cmd_complete(args) -> int:
         ds, args.method, cpd_cfg=cpd_cfg, halrtc_cfg=hal_cfg, prefill=args.prefill
     )
     completed = dataclasses.replace(ds, tensor=report.completed, mask=np.ones_like(ds.mask))
-    data.save_csv(completed, args.output)
     payload = _report_payload(ds, args.method, report)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
+    # The report is opened first, so a path it cannot be written to fails
+    # before the CSV exists.
+    with open(args.report, "w", encoding="utf-8") if args.report else nullcontext() as fh:
+        data.save_csv(completed, args.output)
+        if fh is not None:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
     summary = (

@@ -165,12 +165,11 @@ def svt(m: np.ndarray, tau: float, *, out: np.ndarray | None = None) -> np.ndarr
     representable, or a kept singular value lies below ``1e-5`` of the
     largest.
 
-    ``out``, a float64 array of m's shape, receives the result on every path
-    and is returned; without it the result is a new array. A solver that
-    thresholds the same shapes every iteration passes the same buffers.
-    ``out`` may be m itself, which is then overwritten one slice of its
-    larger side at a time, through a buffer of an eighth of m; any other
-    ``out`` that overlaps m is refused.
+    Without ``out`` the result is a new array. ``out`` may only be m itself,
+    a float64 array, which then receives the result on every path and is
+    returned: a solver that thresholds the same shapes every iteration
+    reuses its buffers. m is overwritten one slice of its larger side at a
+    time, through a buffer of an eighth of m.
 
     Raises :class:`NumericalError` for a non-finite m or a failed
     decomposition.
@@ -178,16 +177,14 @@ def svt(m: np.ndarray, tau: float, *, out: np.ndarray | None = None) -> np.ndarr
     if tau < 0:
         raise ValueError("threshold must be nonnegative")
     m = np.asarray(m, dtype=np.float64)
-    if out is not None and out.shape != m.shape:
-        raise ValueError(f"out has shape {out.shape}, the operand {m.shape}")
-    if out is not None and out is not m and np.shares_memory(out, m):
-        raise ValueError("out overlaps the operand without being it")
+    if out is not None and out is not m:
+        raise ValueError("out must be None or the operand itself, a float64 array")
     wide = m.shape[0] <= m.shape[1]
     shrink = _gram_shrink(m, tau, wide)
     if shrink is not None:
-        if out is m:
+        if out is not None:
             return _shrink_in_place(m, shrink, wide)
-        return np.matmul(shrink, m, out=out) if wide else np.matmul(m, shrink, out=out)
+        return shrink @ m if wide else m @ shrink
     try:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as err:

@@ -11,7 +11,7 @@ thresholds each matricization through the ``eigh`` of its ``I_n x I_n``
 Gram matrix.
 
 Like the CP-factor step, an iteration allocates no tensor: the step runs in a
-fixed workspace of seven tensors made once per solve, in which each mode
+fixed workspace of six tensors made once per solve, in which each mode
 carries its term ``M_n - Y_n / mu`` in place of its dual and estimate and
 :func:`svt` thresholds each operand in place (see :func:`complete_halrtc`).
 Like it too, the step runs on two threads, from a smaller size on: within an
@@ -48,23 +48,6 @@ class HalrtcConfig(AdmmConfig):
     (:class:`~meterfill.admm.AdmmConfig`), whose defaults are HaLRTC's."""
 
 
-def _mode_views(buf: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mode n (0-based) views of a tensor-sized buffer: ``(matrix, stored)``.
-
-    The matrix is the C-order matricization :func:`svt` thresholds for mode n
-    and ``stored`` is the same memory as a C-contiguous tensor whose axes are
-    X's in mode n's order (see :func:`_in_mode_order`). svt commutes with
-    column permutations and transposition, so modes 1 and 3 (the tall
-    transpose) are reshapes of a tensor stored as X is, and mode 2 stores its
-    tensor transposed, as ``(I2, I1, I3)``.
-    """
-    i1, i2, i3 = buf.shape
-    if n == 1:
-        stored = buf.reshape(i2, i1, i3)
-        return stored.reshape(i2, -1), stored
-    return (buf.reshape(i1, -1) if n == 0 else buf.reshape(-1, i3)), buf
-
-
 def _in_mode_order(t: np.ndarray, n: int) -> np.ndarray:
     """t with its first two axes swapped for mode 2 (n == 1); its own inverse.
 
@@ -73,6 +56,17 @@ def _in_mode_order(t: np.ndarray, n: int) -> np.ndarray:
     stored mode-n tensor back into X's shape.
     """
     return t.swapaxes(0, 1) if n == 1 else t
+
+
+def _matrix(stored: np.ndarray, n: int) -> np.ndarray:
+    """The C-order matricization :func:`svt` thresholds for mode n (0-based)
+    of a C-contiguous tensor stored in mode n's order.
+
+    svt commutes with column permutations and transposition, so modes 1 and 2
+    take ``(I_n, rest)`` reshapes of a tensor stored as X and as ``(I2, I1,
+    I3)``, and mode 3 the tall transpose, ``(I1*I2, I3)``.
+    """
+    return stored.reshape(-1, stored.shape[2]) if n == 2 else stored.reshape(len(stored), -1)
 
 
 def complete_halrtc(truth, mask, cfg: HalrtcConfig | None = None) -> CompletionReport:
@@ -93,31 +87,31 @@ def complete_halrtc(truth, mask, cfg: HalrtcConfig | None = None) -> CompletionR
     smaller ones run all three inline). The completion is the same to the
     bit either way.
 
-    The step writes into seven tensors allocated once per solve: X and the
-    next X (the two swap every iteration), three terms, and one operand per
-    thread, which holds ``X + Y_n / mu`` and then, thresholded in place,
-    M_n. Mode 2 stores its term and operand transposed, so that no mode
-    copies.
+    The step writes into six tensors allocated once per solve: X, three
+    terms, and one operand per thread, which holds ``X + Y_n / mu`` and then,
+    thresholded in place, M_n. Mode 2 stores its term and operand transposed,
+    so that no mode copies. Once both threads are done, the caller's operand
+    takes the next X, and the old X, spent on the change, is the caller's
+    next operand.
     """
     cfg = cfg if cfg is not None else HalrtcConfig()
     x, observed_idx, observed = _observed_input(truth, mask)
-    spare = np.empty_like(x)
-    # Each mode's term and operand are stored in its own order.
-    t_mats, t_stored = zip(*(_mode_views(np.zeros_like(x), n) for n in range(3)))
-    terms = [_in_mode_order(t, n) for n, t in enumerate(t_stored)]
+    # Each mode's term is stored in its own order.
+    terms = [np.zeros(_in_mode_order(x, n).shape) for n in range(3)]
     # The worker's mode w has the costliest svt; the calling thread runs a, b.
     w = int(np.argmax(x.shape))
     a, b = (n for n in range(3) if n != w)
     caller_op, worker_op = np.empty_like(x), np.empty_like(x)
-    op_mats, op_stored = zip(*(_mode_views(worker_op if n == w else caller_op, n) for n in range(3)))
     dual_mu = 0.0  # the penalty of the dual step each mode still owes; 0 at first
 
-    def mode(n, x, mu, dual_mu):
-        # Turns mode n's term into the next. Operations on mode n's own
-        # buffers run on their matrices, and those with X on X in mode n's
-        # order, so every output is written in memory order.
-        t, t_s, op, op_s = t_mats[n], t_stored[n], op_mats[n], op_stored[n]
+    def mode(n, x, op, mu, dual_mu):
+        # Turns mode n's term into the next, with the tensor-sized buffer op
+        # for its operand. Operations on mode n's own buffers run on their
+        # matrices, and those with X on X in mode n's order, so every output
+        # is written in memory order.
         x_s = _in_mode_order(x, n)
+        t_s, op_s = terms[n], op.reshape(x_s.shape)
+        t, op = _matrix(t_s, n), _matrix(op_s, n)
         # The previous iteration's dual step, on an X the loop found finite:
         # Y_n = dual_mu (X - term_n), then Y_n / mu.
         np.subtract(x_s, t_s, out=t_s)
@@ -127,20 +121,20 @@ def complete_halrtc(truth, mask, cfg: HalrtcConfig | None = None) -> CompletionR
         svt(op, cfg.alpha[n] / mu, out=op)
         np.subtract(op, t, out=t)
 
-    def callers_half(x, mu, dual_mu):
-        mode(a, x, mu, dual_mu)
-        mode(b, x, mu, dual_mu)
+    def callers_half(x, op, mu, dual_mu):
+        mode(a, x, op, mu, dual_mu)
+        mode(b, x, op, mu, dual_mu)
 
     def step(x, mu, worker):
-        nonlocal spare, dual_mu
+        nonlocal caller_op, dual_mu
         # Inline, the worker's mode runs last; the modes write disjoint buffers.
-        _beside(worker, (callers_half, x, mu, dual_mu), (mode, w, x, mu, dual_mu))
-        x_new, spare = spare, x  # x's buffer is the next spare
+        _beside(worker, (callers_half, x, caller_op, mu, dual_mu), (mode, w, x, worker_op, mu, dual_mu))
+        x_new, caller_op = caller_op, x  # x's buffer is the caller's next operand
         # X = (term_1 + term_2 + term_3) / 3, summed in mode order from zero
         # as the reference loops sum it, ((0 + t1) + t2) + t3, where 0 +
-        # turns a -0.0 into +0.0.
+        # turns a -0.0 into +0.0; mode 2's term is stored transposed.
         np.add(0.0, terms[0], out=x_new)
-        x_new += terms[1]
+        x_new += _in_mode_order(terms[1], 1)
         x_new += terms[2]
         np.divide(x_new, 3.0, out=x_new)
         x_new.reshape(-1)[observed_idx] = observed

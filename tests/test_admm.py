@@ -36,6 +36,7 @@ CONFIGS = (cpd_lrtc.SolverConfig, halrtc.HalrtcConfig)
 # Loop settings refused by both solvers' configs, with the message each gives.
 BAD_LOOP_SETTINGS = [
     ({"alpha": (math.nan, 0.5, 0.5)}, "alpha must be three finite nonnegative weights"),
+    ({"alpha": (0.5, 0.5, 0.5)}, "alpha weights must sum to 1"),
     ({"mu0": -1.0}, "mu0 must be positive and finite"),
     ({"mu0": 0.0}, "mu0 must be positive and finite"),
     ({"mu0": math.nan}, "mu0 must be positive and finite"),

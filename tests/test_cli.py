@@ -274,6 +274,14 @@ class TestComplete:
         assert run_cli("complete", "--input", tmp_path / "nope.csv", "--output", out) == 1
         assert not out.exists()
 
+    def test_unwritable_report_fails_without_output(self, tmp_path, full_csv, capsys):
+        out = tmp_path / "done.csv"
+        report = tmp_path / "missing" / "report.json"
+        assert run_cli("complete", "--input", full_csv, "--output", out,
+                       "--rank", "3", "--report", report) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists() and not report.exists()
+
     def test_grid_too_large_to_allocate_fails_without_output(self, tmp_path, capsys):
         # Day 1e14 makes a 1e14 x 1 x 2 grid, 1.4 PiB: more than any address
         # space, so the allocation fails at once.

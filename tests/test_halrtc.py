@@ -22,34 +22,6 @@ def parity_instance(dims, rate):
     return masked.tensor, masked.mask
 
 
-class TestConfig:
-    def test_alpha_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            HalrtcConfig(alpha=(0.5, 0.5, 0.5))
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"mu0": 0.0},
-            {"rho": 0.5},
-            {"epsilon": 1.5},
-            {"max_iters": 0},
-            {"rho": math.nan},
-            {"mu0": math.nan},
-            {"mu_max": math.nan},
-            {"alpha": (math.nan, 0.5, 0.5)},
-            {"mu0": math.inf},
-            {"rho": math.inf},
-            {"mu_max": math.inf},
-            {"max_iters": 2.5},
-            {"max_iters": True},
-        ],
-    )
-    def test_bad_fields(self, kwargs):
-        with pytest.raises(ValueError):
-            HalrtcConfig(**kwargs)
-
-
 class TestCompleteHalrtc:
     def test_fully_observed_exact(self, rng):
         t = rng.standard_normal((5, 6, 4))
@@ -121,15 +93,15 @@ class TestCompleteHalrtc:
         with pytest.raises(ValueError):
             complete_halrtc(np.ones((2, 2, 2)), np.zeros((2, 2, 2), bool))
 
-    @pytest.mark.parametrize("rate,bound", [(0.5, 8.8), (0.9, 8.0)])
+    @pytest.mark.parametrize("rate,bound", [(0.5, 7.85), (0.9, 7.15)])
     def test_peak_memory(self, rate, bound):
-        # The step's seven tensors (the current and the next completion,
-        # three terms, and the caller's and the worker's operands, which svt
-        # thresholds in place) are live from the first iteration on, beside
-        # the observed positions and values, one tensor at 50% missing and a
-        # fifth at 90%, and the mask. Measured: 8.30-8.38 and 7.55-7.57
-        # tensors; one more tensor-size buffer, or svt's write-back buffering
-        # a whole operand, fails the bound.
+        # The step's six tensors (the completion, three terms, and the
+        # caller's and the worker's operands, which svt thresholds in place;
+        # the caller's takes the next completion) are live from the first
+        # iteration on, beside the observed positions and values, one tensor
+        # at 50% missing and a fifth at 90%, and the mask. Measured:
+        # 7.28-7.38 and 6.55-6.69 tensors; one more tensor-size buffer, or
+        # svt's write-back buffering a whole operand, fails the bound.
         t, mask = parity_instance((31, 48, 114), rate)
         tracemalloc.start()
         try:
