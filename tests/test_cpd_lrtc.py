@@ -174,18 +174,26 @@ class TestSvt:
         assert np.linalg.norm(m - expected) <= 1e-14 * np.linalg.norm(expected)
         assert len(calls) == svd_calls
 
-    def test_out_other_than_the_operand_refused(self, rng):
+    @pytest.mark.parametrize(
+        "dtype,out",
+        [
+            (np.float64, np.empty_like),
+            (np.float64, lambda m: np.empty((6, 5))),
+            (np.float64, lambda m: m[:]),
+            (np.float64, lambda m: m.T),
+            (np.float32, lambda m: m),
+        ],
+        ids=["new-array", "other-shape", "same-view", "transposed", "float32-operand"],
+    )
+    def test_out_other_than_the_operand_refused(self, rng, dtype, out):
         # Only m itself takes the result: a new array, one of another shape,
         # views of m, and a float32 m, which svt would threshold as a float64
         # copy, are refused before anything is written.
-        m = rng.standard_normal((6, 6))
+        m = rng.standard_normal((6, 6)).astype(dtype)
         before = m.copy()
-        m32 = m.astype(np.float32)
-        for operand, out in [(m, np.empty_like(m)), (m, np.empty((6, 5))), (m, m[:]), (m, m.T), (m32, m32)]:
-            with pytest.raises(ValueError, match="out must be None or the operand itself"):
-                svt(operand, 0.5, out=out)
+        with pytest.raises(ValueError, match="out must be None or the operand itself"):
+            svt(m, 0.5, out=out(m))
         assert np.array_equal(m, before)
-        assert np.array_equal(m32, before.astype(np.float32))
 
     @pytest.mark.parametrize("shape", [(30, 2400), (1440, 50)])
     def test_in_place_buffers_a_slice_only(self, rng, shape):
@@ -229,16 +237,32 @@ class TestSvt:
 
 
 class TestConfigValidation:
-    # The loop settings it shares with HaLRTC's config are checked in
-    # tests/test_admm.py (BAD_LOOP_SETTINGS).
+    def test_alpha_must_sum_to_one(self):
+        with pytest.raises(ValueError):
+            SolverConfig(alpha=(0.5, 0.5, 0.5))
+
     @pytest.mark.parametrize(
         "kwargs",
         [
+            {"epsilon": 0.0},
+            {"epsilon": 1.0},
             {"rank": 0},
             {"lam": 0.0},
+            {"mu0": -1.0},
+            {"rho": 0.9},
+            {"max_iters": 0},
             {"mu0": None},
+            {"rho": math.nan},
+            {"mu0": math.nan},
+            {"mu_max": math.nan},
             {"lam": math.nan},
+            {"alpha": (math.nan, 0.5, 0.5)},
+            {"mu0": math.inf},
+            {"rho": math.inf},
             {"lam": math.inf},
+            {"mu_max": math.inf},
+            {"max_iters": 2.5},
+            {"max_iters": True},
             {"rank": 2.5},
             {"rank": True},
             {"seed": 1.5},

@@ -22,6 +22,34 @@ def parity_instance(dims, rate):
     return masked.tensor, masked.mask
 
 
+class TestConfig:
+    def test_alpha_must_sum_to_one(self):
+        with pytest.raises(ValueError):
+            HalrtcConfig(alpha=(0.5, 0.5, 0.5))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"mu0": 0.0},
+            {"rho": 0.5},
+            {"epsilon": 1.5},
+            {"max_iters": 0},
+            {"rho": math.nan},
+            {"mu0": math.nan},
+            {"mu_max": math.nan},
+            {"alpha": (math.nan, 0.5, 0.5)},
+            {"mu0": math.inf},
+            {"rho": math.inf},
+            {"mu_max": math.inf},
+            {"max_iters": 2.5},
+            {"max_iters": True},
+        ],
+    )
+    def test_bad_fields(self, kwargs):
+        with pytest.raises(ValueError):
+            HalrtcConfig(**kwargs)
+
+
 class TestCompleteHalrtc:
     def test_fully_observed_exact(self, rng):
         t = rng.standard_normal((5, 6, 4))
