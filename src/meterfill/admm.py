@@ -126,7 +126,10 @@ def _observed_input(truth, mask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     observed_idx = np.flatnonzero(m)
     if not observed_idx.size:
         raise ValueError("mask selects no observed entries")
-    return np.where(m, t, 0.0), observed_idx, t[m]
+    # np.where keeps the order of Fortran-ordered operands; the solvers'
+    # flat positions and reshapes need C order.
+    x = np.ascontiguousarray(np.where(m, t, 0.0))
+    return x, observed_idx, x.reshape(-1)[observed_idx]
 
 
 def _run_admm(x: np.ndarray, cfg: AdmmConfig, step, svd_shapes, threaded: bool) -> CompletionReport:

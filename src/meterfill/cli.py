@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import math
+import os
 import sys
 from contextlib import nullcontext
 
@@ -160,16 +162,37 @@ def _report_payload(ds, method: str, report) -> dict:
     return payload
 
 
+def _check_writable(path) -> None:
+    """Raise the error that opening ``path`` for writing would, without creating it.
+
+    Finds a missing directory, a directory at ``path``, or a file or
+    directory that may not be written to, before a solve whose result could
+    not be saved there.
+    """
+    path = os.fspath(path)
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+
 def cmd_complete(args) -> int:
     cpd_cfg, hal_cfg = _solver_configs(args, [args.method])
+    # Neither file is created until the solve has succeeded.
+    for path in (args.output, args.report):
+        if path is not None:
+            _check_writable(path)
     ds = data.load_dataset(args.input)
     report = benchmark.complete_dataset(
         ds, args.method, cpd_cfg=cpd_cfg, halrtc_cfg=hal_cfg, prefill=args.prefill
     )
     completed = dataclasses.replace(ds, tensor=report.completed, mask=np.ones_like(ds.mask))
     payload = _report_payload(ds, args.method, report)
-    # The report is opened first, so a path it cannot be written to fails
-    # before the CSV exists.
+    # The report is opened first, so should its path fail after the check
+    # above, it fails before the CSV exists.
     with open(args.report, "w", encoding="utf-8") if args.report else nullcontext() as fh:
         data.save_csv(completed, args.output)
         if fh is not None:

@@ -19,26 +19,29 @@ iteration the three mode subproblems depend only on X and their own terms,
 so the worker thread of the one-thread
 :class:`~concurrent.futures.ThreadPoolExecutor` that the shared loop
 (:mod:`meterfill.admm`) makes thresholds the mode with the largest
-dimension while the calling thread does the other two, and the completion
-is the same to the bit as on one.
+dimension while the calling thread does the other two. A second handoff
+then splits the completion step (the average, the write-back of observed
+entries and the change) into two halves of days, one per thread, as
+CPD-LRTC's completion pass is split. The completion is the same to the bit
+as on one thread.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .admm import AdmmConfig, CompletionReport, _beside, _observed_input, _run_admm
 from .cpd_lrtc import svt
-from .tensor_ops import fro_norm
 
-# Tensors of fewer entries than this run all three modes on the calling
-# thread: handing a mode to the worker costs about 0.35 ms an iteration
-# (threaded minus inline at 8x10x12, of which the pool's submit and wait take
-# about 0.04 ms), more than the overlap saves below it. Sweeps from 16x24x32
-# to 24x36x40 put the break-even between 18x27x36 and 18x30x40, or up to
-# 22x32x42 on a noisier host (CHANGES.md).
+# Tensors of fewer entries than this run the whole step on the calling
+# thread: the step's two handoffs to the worker cost 0.3-0.6 ms an iteration
+# (threaded minus inline at 8x10x12; one handoff cost 0.26-0.44 ms in the
+# same sweeps), more than the overlap saves below it. The break-even lay
+# between 18x27x36 and 22x32x42 with one handoff, and near 24x36x40 on a
+# slower host with one handoff and with two alike (CHANGES.md).
 _THREAD_MIN_SIZE = 20_000
 
 
@@ -84,8 +87,12 @@ def complete_halrtc(truth, mask, cfg: HalrtcConfig | None = None) -> CompletionR
     So a mode depends only on X and its own term,
     and the mode with the largest dimension runs on a worker thread beside
     the other two (for tensors of at least ``_THREAD_MIN_SIZE`` entries;
-    smaller ones run all three inline). The completion is the same to the
-    bit either way.
+    smaller ones run everything inline). After both are done, a second
+    handoff runs the completion step in two halves of days: the caller
+    averages, writes back and differences the first ``ceil(I1/2)`` days and
+    the worker the rest, and the change is the square root of the caller's
+    squared change plus the worker's, summed in that order on one thread
+    too. The completion is the same to the bit either way.
 
     The step writes into six tensors allocated once per solve: X, three
     terms, and one operand per thread, which holds ``X + Y_n / mu`` and then,
@@ -103,6 +110,16 @@ def complete_halrtc(truth, mask, cfg: HalrtcConfig | None = None) -> CompletionR
     a, b = (n for n in range(3) if n != w)
     caller_op, worker_op = np.empty_like(x), np.empty_like(x)
     dual_mu = 0.0  # the penalty of the dual step each mode still owes; 0 at first
+    # The completion step's two halves of days, (days, observed positions,
+    # values): the caller's first ceil(I1/2) days, then the worker's, which
+    # starts later. The positions are slices of observed_idx, not copies.
+    cut = -(-len(x) // 2)
+    k = int(np.searchsorted(observed_idx, cut * (x.size // len(x))))
+    halves = (
+        (slice(None, cut), observed_idx[:k], observed[:k]),
+        (slice(cut, None), observed_idx[k:], observed[k:]),
+    )
+    squares = [0.0, 0.0]  # each half's squared change
 
     def mode(n, x, op, mu, dual_mu):
         # Turns mode n's term into the next, with the tensor-sized buffer op
@@ -125,24 +142,33 @@ def complete_halrtc(truth, mask, cfg: HalrtcConfig | None = None) -> CompletionR
         mode(a, x, op, mu, dual_mu)
         mode(b, x, op, mu, dual_mu)
 
+    def completion(h, x, x_new):
+        # Day-half h of X = (term_1 + term_2 + term_3) / 3, summed in mode
+        # order from zero as the reference loops sum it, ((0 + t1) + t2) + t3,
+        # where 0 + turns a -0.0 into +0.0; mode 2's term is stored
+        # transposed. Then the half's observed entries, at their global flat
+        # positions, and its squared change, written over x's days.
+        days, idx, values = halves[h]
+        new, old = x_new[days], x[days]
+        np.add(0.0, terms[0][days], out=new)
+        new += _in_mode_order(terms[1][:, days], 1)
+        new += terms[2][days]
+        np.divide(new, 3.0, out=new)
+        x_new.reshape(-1)[idx] = values
+        diff = np.subtract(old, new, out=old).reshape(-1)
+        squares[h] = float(diff @ diff)
+
     def step(x, mu, worker):
         nonlocal caller_op, dual_mu
         # Inline, the worker's mode runs last; the modes write disjoint buffers.
         _beside(worker, (callers_half, x, caller_op, mu, dual_mu), (mode, w, x, worker_op, mu, dual_mu))
         x_new, caller_op = caller_op, x  # x's buffer is the caller's next operand
-        # X = (term_1 + term_2 + term_3) / 3, summed in mode order from zero
-        # as the reference loops sum it, ((0 + t1) + t2) + t3, where 0 +
-        # turns a -0.0 into +0.0; mode 2's term is stored transposed.
-        np.add(0.0, terms[0], out=x_new)
-        x_new += _in_mode_order(terms[1], 1)
-        x_new += terms[2]
-        np.divide(x_new, 3.0, out=x_new)
-        x_new.reshape(-1)[observed_idx] = observed
-        dual_mu = mu
         # x is finite, so a non-finite x_new (or a difference too large to
         # square) shows up as a non-finite change.
         with np.errstate(over="ignore"):
-            return x_new, fro_norm(np.subtract(x, x_new, out=x))
+            _beside(worker, (completion, 0, x, x_new), (completion, 1, x, x_new))
+        dual_mu = mu
+        return x_new, math.sqrt(squares[0] + squares[1])
 
     svd_shapes = tuple((d, x.size // d) for d in x.shape)
     return _run_admm(x, cfg, step, svd_shapes, x.size >= _THREAD_MIN_SIZE)

@@ -89,6 +89,28 @@ class TestAdmmConfig:
         assert auto.residual_history == fixed.residual_history
 
 
+class TestObservedInput:
+    def test_first_iterate_and_observed_entries(self, rng):
+        t = rng.standard_normal((4, 5, 6))
+        m = rng.random(t.shape) < 0.5
+        x, idx, values = admm._observed_input(t, m)
+        assert np.array_equal(x, np.where(m, t, 0.0)) and x.flags.c_contiguous
+        assert np.array_equal(idx, np.flatnonzero(m))
+        assert np.array_equal(values, t[m])
+
+    @pytest.mark.parametrize("solve", [cpd_lrtc.complete, halrtc.complete_halrtc])
+    def test_fortran_ordered_input_solves_as_c_ordered(self, solve):
+        # np.where returns a Fortran-ordered first iterate for Fortran-ordered
+        # operands, whose flat positions are not the mask's C-order ones.
+        ds = synth_load_tensor(SynthSpec(dims=(8, 10, 12), rank=3), seed=7).dataset
+        masked = simulate_missing(ds, 0.5, derive_seed(11, "mask", "0.5"))
+        t, m = masked.tensor, masked.mask
+        c_order = solve(t, m)
+        f_order = solve(np.asfortranarray(t), np.asfortranarray(m))
+        assert np.array_equal(f_order.completed, c_order.completed)
+        assert f_order.residual_history == c_order.residual_history
+
+
 class TestBeside:
     def test_halves_run_on_their_threads(self, worker):
         calls = []

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from meterfill import benchmark
 from meterfill.cli import _parse_rates, _solver_configs, build_parser, main
 from meterfill.data import load_dataset, save_csv, simulate_missing, synth_electrical_tensor
 from meterfill.benchmark import rse
@@ -281,6 +282,24 @@ class TestComplete:
                        "--rank", "3", "--report", report) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists() and not report.exists()
+
+    @pytest.mark.parametrize(
+        "bad,path",
+        [("output", "missing/done.csv"), ("report", "missing/report.json"), ("output", "a-directory")],
+    )
+    def test_unwritable_path_fails_before_the_solve(self, tmp_path, full_csv, capsys, monkeypatch, bad, path):
+        def solving(*args, **kwargs):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(benchmark, "complete_dataset", solving)
+        (tmp_path / "a-directory").mkdir()
+        paths = {"output": tmp_path / "done.csv", "report": tmp_path / "report.json"}
+        paths[bad] = tmp_path / path
+        assert run_cli("complete", "--input", full_csv, "--output", paths["output"],
+                       "--report", paths["report"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not any(p.is_file() for p in paths.values())
 
     def test_grid_too_large_to_allocate_fails_without_output(self, tmp_path, capsys):
         # Day 1e14 makes a 1e14 x 1 x 2 grid, 1.4 PiB: more than any address

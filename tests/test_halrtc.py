@@ -293,6 +293,20 @@ class TestModeWorker:
             complete_halrtc(t, mask, HalrtcConfig(mu0=0.5, max_iters=3))
         assert sorted(seen) == [(False, "raise")] * 3 + [(True, "raise")] * 6
 
+    # 31 days cut unevenly; 1x150x150, above _THREAD_MIN_SIZE, leaves the
+    # worker's half of days empty.
+    @pytest.mark.parametrize("dims", [(31, 48, 114), (1, 150, 150), (2, 100, 110)])
+    def test_threaded_solve_equals_inline(self, monkeypatch, dims):
+        t, mask = parity_instance(dims, 0.5)
+        assert t.size >= halrtc._THREAD_MIN_SIZE
+        threaded = complete_halrtc(t, mask)
+        monkeypatch.setattr(halrtc, "_THREAD_MIN_SIZE", t.size + 1)
+        inline = complete_halrtc(t, mask)
+        assert np.array_equal(threaded.completed, inline.completed)
+        assert threaded.residual_history == inline.residual_history
+        assert threaded.iterations == inline.iterations
+        assert threaded.converged == inline.converged
+
 
 def reference_complete_halrtc(truth, mask, cfg, threshold=svt):
     """HaLRTC with its own outer loop over the mode-n unfoldings, as it stood
@@ -351,7 +365,8 @@ def unmatricize(mat, n, dims):
 def reference_matricized_halrtc(truth, mask, cfg):
     """:func:`reference_complete_halrtc` with each mode thresholded on
     :func:`matricize` instead of :func:`unfold`, the order of sums the
-    solver's Gram matrices follow. Returns the same four values.
+    solver's Gram matrices follow, and the change summed over the solver's
+    two halves of days. Returns the same four values.
     """
     t = np.asarray(truth, dtype=np.float64)
     m = np.asarray(mask, dtype=bool)
@@ -374,7 +389,12 @@ def reference_matricized_halrtc(truth, mask, cfg):
         for n in range(3):
             # Y_n + mu (x_new - M_n), with M_n = term_n + Y_n / mu.
             ys[n] = mu * (x_new - terms[n])
-        resid = fro_norm(x_new - x) / denom
+        # The change sums the squares of its first ceil(I1/2) days, then
+        # those of the rest.
+        diff = x - x_new
+        cut = -(-dims[0] // 2)
+        squares = [float(d.reshape(-1) @ d.reshape(-1)) for d in (diff[:cut], diff[cut:])]
+        resid = math.sqrt(squares[0] + squares[1]) / denom
         history.append(resid)
         x = x_new
         mu = min(cfg.rho * mu, cfg.mu_max)
