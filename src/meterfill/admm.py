@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PrefillResult
+from .data import DataError, PrefillResult
 from .tensor_ops import as_mask, as_tensor, check_int, fro_norm
 
 
@@ -52,29 +52,29 @@ class CompletionReport:
         return len(self.residual_history)
 
 
-def _beside(pool: ThreadPoolExecutor | None, first: tuple, second: tuple) -> None:
+def _beside(pool: ThreadPoolExecutor | None, first: tuple, second: tuple) -> tuple:
     """Run the ``(fn, *args)`` calls ``first`` here and ``second`` on ``pool``'s thread.
 
-    ``second`` runs in a copy of the caller's context, since numpy keeps
-    ``np.errstate`` in a context variable that a new thread does not
-    inherit. Whatever ``first`` raises, ``second`` is waited for; an error of
-    either is raised, first's before second's. Without a pool both run here,
-    first then second. A tracer that wraps meterfill's public functions sees
-    no call on CPD-LRTC's worker, which runs numpy and private helpers only,
-    but sees HaLRTC's worker call ``halrtc.svt`` once an iteration while the
-    caller's spans are open.
+    Returns both results, ``(first's, second's)``. ``second`` runs in a copy of
+    the caller's context, since numpy keeps ``np.errstate`` in a context
+    variable that a new thread does not inherit. Whatever ``first`` raises,
+    ``second`` is waited for; an error of either is raised, first's before
+    second's. Without a pool both run here, first then second, and second
+    not at all if first raises. A tracer that wraps meterfill's public
+    functions sees no call on CPD-LRTC's worker, which runs numpy and private
+    helpers only, but sees HaLRTC's worker call ``halrtc.svt`` once an
+    iteration while the caller's spans are open.
     """
     if pool is None:
-        for fn, *args in (first, second):
-            fn(*args)
-        return
+        return first[0](*first[1:]), second[0](*second[1:])
     future = pool.submit(contextvars.copy_context().run, *second)
     try:
-        first[0](*first[1:])
+        result = first[0](*first[1:])
     finally:
         error = future.exception()
     if error is not None:
         raise error
+    return result, future.result()
 
 
 @dataclass(frozen=True)
@@ -119,13 +119,13 @@ def _observed_input(truth, mask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     observed entries of the validated ``truth`` and zeros elsewhere, the flat
     C-order positions of the observed entries, as
     :func:`~meterfill.cpd_lrtc.completion_blocks` takes them, and their
-    values. The mask must select at least one entry.
+    values. A mask that selects no entry raises :class:`~meterfill.data.DataError`.
     """
     t = as_tensor(truth)
     m = as_mask(mask, t.shape)
     observed_idx = np.flatnonzero(m)
     if not observed_idx.size:
-        raise ValueError("mask selects no observed entries")
+        raise DataError("mask selects no observed entries")
     # np.where keeps the order of Fortran-ordered operands; the solvers'
     # flat positions and reshapes need C order.
     x = np.ascontiguousarray(np.where(m, t, 0.0))

@@ -165,26 +165,37 @@ def _report_payload(ds, method: str, report) -> dict:
 def _check_writable(path) -> None:
     """Raise the error that opening ``path`` for writing would, without creating it.
 
-    Finds a missing directory, a directory at ``path``, or a file or
-    directory that may not be written to, before a solve whose result could
-    not be saved there.
+    Finds an empty path, a missing directory, a directory at ``path``, or a
+    file or directory that may not be written to, before a solve whose result
+    could not be saved there.
     """
     path = os.fspath(path)
     parent = os.path.dirname(path) or "."
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    if not os.path.isdir(parent):
+    if not path or not os.path.isdir(parent):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     if not os.access(path if os.path.exists(path) else parent, os.W_OK):
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
 
 
+def _check_outputs(*outputs) -> None:
+    """Before any work, refuse ``(flag, path)`` outputs that could not all be
+    written: one :func:`_check_writable` refuses, or two that name one file,
+    which the second write would overwrite. A None path is not written."""
+    flags = {}
+    for flag, path in outputs:
+        if path is not None:
+            _check_writable(path)
+            other = flags.setdefault(os.path.realpath(path), flag)
+            if other != flag:
+                raise ValueError(f"{other} and {flag} name the same file {os.fspath(path)!r}")
+
+
 def cmd_complete(args) -> int:
     cpd_cfg, hal_cfg = _solver_configs(args, [args.method])
     # Neither file is created until the solve has succeeded.
-    for path in (args.output, args.report):
-        if path is not None:
-            _check_writable(path)
+    _check_outputs(("--output", args.output), ("--report", args.report))
     ds = data.load_dataset(args.input)
     report = benchmark.complete_dataset(
         ds, args.method, cpd_cfg=cpd_cfg, halrtc_cfg=hal_cfg, prefill=args.prefill
@@ -210,9 +221,10 @@ def cmd_complete(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    truth_path = f"{args.output}.truth.csv" if args.truth_output is None else args.truth_output
+    _check_outputs(("--output", args.output), ("--truth-output", truth_path))
     ds = data.load_dataset(args.input)
     masked = data.simulate_missing(ds, args.rate, args.seed)
-    truth_path = args.truth_output or f"{args.output}.truth.csv"
     data.save_csv(masked, args.output)
     data.save_csv(ds, truth_path)
     removed = masked.tensor.size - masked.n_observed
@@ -222,6 +234,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    _check_outputs(("--output", args.output))
     ds = _synthesize(args, _generator_flags(args, "--rank", args.rank), args.seed)
     data.save_csv(ds, args.output)
     print(f"wrote {ds.tensor.size} rows to {args.output}")
@@ -232,6 +245,7 @@ def cmd_bench(args) -> int:
     # --seed also seeds the masks, so it applies to every method.
     cpd_cfg, hal_cfg = _solver_configs(args, args.methods, own=("seed",))
     generator = _generator_flags(args, "--synth-rank", args.synth_rank)
+    _check_outputs(("--output", args.output))
     if args.input:
         layout = (("--dims", args.dims), ("--layout", args.layout))
         given = [flag for flag, value in layout if value is not None] + list(generator)

@@ -60,8 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import AdmmConfig, CompletionReport, NumericalError, _observed_input, _run_admm
-from .admm import _beside
+from .admm import AdmmConfig, CompletionReport, NumericalError, _beside, _observed_input, _run_admm
 from .tensor_ops import check_int, khatri_rao
 
 # Not called here; kept reachable as ``cpd_lrtc.unfold`` for code that looks it up on this module.
@@ -299,9 +298,8 @@ def update_factors(
     u2 = _ridge_update(state, 1, np.einsum("ijr,ir->jr", z, u1), g3, g1, lam, mu)
     kr = khatri_rao(u1, u2)
     h = len(kr) // 2
-    halves = np.empty((2, kr.shape[1], i3))
-    _beside(worker, (np.matmul, kr[:h].T, x3[:h], halves[0]), (np.matmul, kr[h:].T, x3[h:], halves[1]))
-    mttkrp = (halves[0] + halves[1]).T
+    first, second = _beside(worker, (np.matmul, kr[:h].T, x3[:h]), (np.matmul, kr[h:].T, x3[h:]))
+    mttkrp = (first + second).T
     u3 = _ridge_update(state, 2, mttkrp, g1, u2.T @ u2, lam, mu)
     return FactorSet(U=(u1, u2, u3), M=state.M, Y=state.Y)
 
@@ -353,8 +351,9 @@ def completion_blocks(
     return tuple(blocks[:h]), tuple(blocks[h:])
 
 
-def _rebuild_blocks(blocks, squares: list, kr, u3, x3, z) -> None:
-    """The completion pass over ``blocks``, each block's squared change appended to ``squares``."""
+def _rebuild_blocks(blocks, kr, u3, x3, z) -> list:
+    """The completion pass over ``blocks``; returns each block's squared change, in block order."""
+    squares = []
     for start, stop, offsets, values, new in blocks:
         np.matmul(kr[start:stop], u3.T, out=new)
         new.reshape(-1)[offsets] = values
@@ -364,6 +363,7 @@ def _rebuild_blocks(blocks, squares: list, kr, u3, x3, z) -> None:
         squares.append(float(diff @ diff))
         old[...] = new
         np.matmul(new, u3, out=z[start:stop])
+    return squares
 
 
 def update_completion(
@@ -381,7 +381,8 @@ def update_completion(
 
     ``worker``, the pool the shared ADMM loop makes when :func:`complete`
     solves a large tensor, rebuilds ``second`` beside ``first``, which must
-    then have been cut ``threaded``; the result is the same to the bit.
+    then have been cut ``threaded``, and hands back its blocks' squares with
+    its result; the change is the same to the bit.
     """
     if x.shape != state.dims or x.dtype != np.float64 or not x.flags.c_contiguous:
         raise ValueError(f"completion must be a C-ordered float64 tensor of dims {state.dims}")
@@ -391,11 +392,10 @@ def update_completion(
     u1, u2, u3 = state.U
     kr = khatri_rao(u1, u2)
     operands = (kr, u3, x.reshape(-1, u3.shape[0]), z)
-    ours, theirs = [], []
     # An overflow leaves a non-finite change, which the caller reports.
     with np.errstate(over="ignore"):
-        _beside(worker, (_rebuild_blocks, first, ours, *operands),
-                (_rebuild_blocks, second, theirs, *operands))
+        ours, theirs = _beside(worker, (_rebuild_blocks, first, *operands),
+                               (_rebuild_blocks, second, *operands))
     # Not sum(): from Python 3.12 it compensates float sums, so its bits would
     # depend on the Python version (3.10 on) and differ from the tests' reference.
     squared = 0.0

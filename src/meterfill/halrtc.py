@@ -119,7 +119,6 @@ def complete_halrtc(truth, mask, cfg: HalrtcConfig | None = None) -> CompletionR
         (slice(None, cut), observed_idx[:k], observed[:k]),
         (slice(cut, None), observed_idx[k:], observed[k:]),
     )
-    squares = [0.0, 0.0]  # each half's squared change
 
     def mode(n, x, op, mu, dual_mu):
         # Turns mode n's term into the next, with the tensor-sized buffer op
@@ -147,7 +146,7 @@ def complete_halrtc(truth, mask, cfg: HalrtcConfig | None = None) -> CompletionR
         # order from zero as the reference loops sum it, ((0 + t1) + t2) + t3,
         # where 0 + turns a -0.0 into +0.0; mode 2's term is stored
         # transposed. Then the half's observed entries, at their global flat
-        # positions, and its squared change, written over x's days.
+        # positions, and the change, written over x's days; returns its square.
         days, idx, values = halves[h]
         new, old = x_new[days], x[days]
         np.add(0.0, terms[0][days], out=new)
@@ -156,7 +155,7 @@ def complete_halrtc(truth, mask, cfg: HalrtcConfig | None = None) -> CompletionR
         np.divide(new, 3.0, out=new)
         x_new.reshape(-1)[idx] = values
         diff = np.subtract(old, new, out=old).reshape(-1)
-        squares[h] = float(diff @ diff)
+        return float(diff @ diff)
 
     def step(x, mu, worker):
         nonlocal caller_op, dual_mu
@@ -166,9 +165,9 @@ def complete_halrtc(truth, mask, cfg: HalrtcConfig | None = None) -> CompletionR
         # x is finite, so a non-finite x_new (or a difference too large to
         # square) shows up as a non-finite change.
         with np.errstate(over="ignore"):
-            _beside(worker, (completion, 0, x, x_new), (completion, 1, x, x_new))
+            ours, theirs = _beside(worker, (completion, 0, x, x_new), (completion, 1, x, x_new))
         dual_mu = mu
-        return x_new, math.sqrt(squares[0] + squares[1])
+        return x_new, math.sqrt(ours + theirs)
 
     svd_shapes = tuple((d, x.size // d) for d in x.shape)
     return _run_admm(x, cfg, step, svd_shapes, x.size >= _THREAD_MIN_SIZE)

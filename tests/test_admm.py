@@ -155,6 +155,22 @@ class TestBeside:
             admm._beside(worker, (failing,), (slow,))
         assert finished.is_set()
 
+    @pytest.mark.parametrize("threaded", [True, False])
+    def test_both_results_come_back_in_order(self, worker, threaded):
+        pool = worker if threaded else None
+        assert admm._beside(pool, (divmod, 7, 2), (str.upper, "second")) == ((3, 1), "SECOND")
+
+    @pytest.mark.parametrize("threaded", [True, False])
+    @pytest.mark.parametrize("failing", ["first", "second"])
+    def test_a_failing_half_raises_in_place_of_the_results(self, worker, threaded, failing):
+        calls = []
+        first, second = (((fail if name == failing else record), calls, name) for name in ("first", "second"))
+        with pytest.raises(RuntimeError, match=f"^{failing} failed$"):
+            admm._beside(worker if threaded else None, first, second)
+        # Inline, a failing first half stops the second from running.
+        ran = ["first"] if failing == "first" and not threaded else ["first", "second"]
+        assert sorted(name for name, _ in calls) == ran
+
 
 class TestSharedNames:
     def test_svt_is_defined_in_cpd_lrtc(self):

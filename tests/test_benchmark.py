@@ -332,6 +332,20 @@ class TestRunBenchmark:
             assert not cells[key].error and np.isfinite(cells[key].rse_percent)
         assert format_table(results).splitlines()[2].split()[1:] == ["failed", "-"] * 2
 
+    def test_solver_with_no_observed_entry_fails_only_its_cell(self):
+        # At 95% missing the 2x2x2 mask hides all eight entries, which the
+        # solvers refuse as a DataError; the 50% cells are scored.
+        ds = synth_load_tensor(SynthSpec(dims=(2, 2, 2), rank=1), seed=5).dataset
+        assert not simulate_missing(ds, 0.95, derive_seed(4, "mask", "0.95")).mask.any()
+        methods = ["mean", "cpd_lrtc", "halrtc"]
+        results = run_benchmark(ds, [0.5, 0.95], methods, seed=4)
+        cells = {(r.missing_rate, r.method): r for r in results}
+        for method in methods:
+            assert not cells[0.5, method].error and np.isfinite(cells[0.5, method].rse_percent)
+            assert np.isnan(cells[0.95, method].rse_percent)
+        for method in ["cpd_lrtc", "halrtc"]:
+            assert cells[0.95, method].error == "mask selects no observed entries"
+
     def test_result_validation(self):
         with pytest.raises(ValueError):
             BenchResult(method="mean", missing_rate=1.2, rse_percent=1.0,

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from meterfill import benchmark
+from meterfill import benchmark, data
 from meterfill.cli import _parse_rates, _solver_configs, build_parser, main
 from meterfill.data import load_dataset, save_csv, simulate_missing, synth_electrical_tensor
 from meterfill.benchmark import rse
@@ -533,6 +533,62 @@ class TestBench:
     def test_unknown_method_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             run_cli("bench", "--dims", "8x12x5", "--methods", "kalman")
+
+
+# The function that does each subcommand's work, which must not run when an
+# output is refused.
+WORK = {"complete": "complete_dataset", "simulate": "simulate_missing",
+        "synth": "synth_load_tensor", "bench": "run_benchmark"}
+COMPLETE = ["complete", "--input", "full.csv"]
+SIMULATE = ["simulate", "--input", "full.csv", "--rate", "0.5"]
+SYNTH = ["synth", "--dims", "4x6x3"]
+BENCH = ["bench", "--dims", "4x6x3", "--rates", "0.5", "--methods", "mean"]
+
+
+class TestOutputsCheckedFirst:
+    @pytest.mark.parametrize("argv, error", [
+        pytest.param(COMPLETE + ["--output", "o.csv", "--report", "o.csv"],
+                     "--output and --report name the same file 'o.csv'", id="complete"),
+        pytest.param(COMPLETE + ["--output", "o.csv", "--report", "sub/../o.csv"],
+                     "--output and --report name the same file 'sub/../o.csv'", id="complete-respelled"),
+        pytest.param(SIMULATE + ["--output", "s.csv", "--truth-output", "s.csv"],
+                     "--output and --truth-output name the same file 's.csv'", id="simulate"),
+        pytest.param(COMPLETE + ["--output", ""], "No such file or directory: ''", id="complete-empty"),
+        pytest.param(COMPLETE + ["--output", "o.csv", "--report", ""],
+                     "No such file or directory: ''", id="complete-empty-report"),
+        pytest.param(SIMULATE + ["--output", ""], "No such file or directory: ''", id="simulate-empty"),
+        pytest.param(SIMULATE + ["--output", "s.csv", "--truth-output", ""],
+                     "No such file or directory: ''", id="simulate-empty-truth"),
+        pytest.param(SYNTH + ["--output", ""], "No such file or directory: ''", id="synth-empty"),
+        pytest.param(BENCH + ["--output", ""], "No such file or directory: ''", id="bench-empty"),
+        pytest.param(SIMULATE + ["--output", "s.csv", "--truth-output", "nodir/t.csv"],
+                     "No such file or directory: 'nodir/t.csv'", id="simulate-truth-nodir"),
+        pytest.param(SIMULATE + ["--output", "nodir/s.csv"],
+                     "No such file or directory: 'nodir/s.csv'", id="simulate-nodir"),
+        pytest.param(SYNTH + ["--output", "nodir/x.csv"],
+                     "No such file or directory: 'nodir/x.csv'", id="synth-nodir"),
+        pytest.param(SYNTH + ["--output", "sub"], "Is a directory: 'sub'", id="synth-directory"),
+        pytest.param(BENCH + ["--output", "nodir/b.csv"],
+                     "No such file or directory: 'nodir/b.csv'", id="bench-nodir"),
+    ])
+    def test_refused_before_the_work_and_nothing_written(
+        self, tmp_path, full_csv, capsys, monkeypatch, argv, error
+    ):
+        def working(*args, **kwargs):
+            raise AssertionError("the work ran")
+
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        module = benchmark if argv[0] in ("complete", "bench") else data
+        monkeypatch.setattr(module, WORK[argv[0]], working)
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert error in captured.err
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_cli_import_does_not_load_scipy():
